@@ -11,6 +11,7 @@ import numpy as np
 
 from caliblab.metrics import (
     PredictionRecord,
+    Predictions,
     calibration_report,
     reliability_bins,
 )
@@ -23,7 +24,7 @@ rng = np.random.default_rng(42)
 n = 500
 conf = rng.uniform(0.75, 0.99, size=n)
 correct = rng.random(n) < 0.75
-records = [
+records = Predictions.from_records([
     PredictionRecord(
         sample_id=i,
         true_label=0 if correct[i] else 1,
@@ -33,7 +34,7 @@ records = [
         probs=np.array([conf[i], 1.0 - conf[i]]),
     )
     for i in range(n)
-]
+])
 
 report = calibration_report(records, n_bins=10)
 print("metrics for a deliberately overconfident model:")

@@ -47,6 +47,7 @@ from .metrics import (
     BinTable,
     CalibrationReport,
     PredictionRecord,
+    Predictions,
     adaptive_calibration_error,
     balanced_accuracy,
     brier_score,

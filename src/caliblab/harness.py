@@ -23,11 +23,10 @@ from .datasets import Dataset, augment
 from .losses import total_loss
 from .metrics import (
     CalibrationReport,
-    PredictionRecord,
+    Predictions,
     balanced_accuracy,
     calibration_report,
     expected_calibration_error,
-    validate_records,
 )
 from .nn import Adam, DenseLayer, SGDMomentum, init_dense
 from .uncertainty import (
@@ -207,26 +206,16 @@ def predict_records(
     x: np.ndarray,
     y: np.ndarray,
     sample_ids: np.ndarray | None = None,
-) -> list[PredictionRecord]:
+) -> Predictions:
     output = model.forward(x)
-    probs = output.probs.data
-    conf = output.confidence.data
-    unc = output.uncertainty.data
-    preds = output.predictions
-    ids = np.arange(len(y)) if sample_ids is None else np.asarray(sample_ids)
-    records = [
-        PredictionRecord(
-            sample_id=int(ids[i]),
-            true_label=int(y[i]),
-            pred_label=int(preds[i]),
-            confidence=float(conf[i]),
-            uncertainty=float(unc[i]),
-            probs=probs[i].copy(),
-        )
-        for i in range(len(y))
-    ]
-    validate_records(records)
-    return records
+    return Predictions(
+        sample_id=np.arange(len(y)) if sample_ids is None else sample_ids,
+        true_label=y,
+        pred_label=output.predictions,
+        confidence=output.confidence.data,
+        uncertainty=output.uncertainty.data,
+        probs=output.probs.data,
+    )
 
 
 def params_digest(model: Classifier) -> str:
@@ -236,7 +225,7 @@ def params_digest(model: Classifier) -> str:
 
 @dataclass
 class RunResult:
-    records: list[PredictionRecord]
+    records: Predictions
     report: CalibrationReport
     seed: int
     steps: int
@@ -367,9 +356,7 @@ def multi_seed(
 # -- ensembling ------------------------------------------------------------------
 
 
-def ensemble(
-    record_lists: list[list[PredictionRecord]],
-) -> list[PredictionRecord]:
+def ensemble(logs: list[Predictions]) -> Predictions:
     """Average probability vectors across aligned prediction logs.
 
     Logs must cover the same sample ids in the same order with identical
@@ -377,39 +364,28 @@ def ensemble(
     from 1 by more than 1e-9; confidence is the winning averaged
     probability and uncertainty its complement.
     """
-    if len(record_lists) < 2:
+    if len(logs) < 2:
         raise ValueError("ensemble needs at least two prediction logs")
-    base = record_lists[0]
-    validate_records(base)
-    ids = [r.sample_id for r in base]
-    labels = [r.true_label for r in base]
-    for j, records in enumerate(record_lists[1:], start=2):
-        validate_records(records)
-        if [r.sample_id for r in records] != ids:
+    base = logs[0]
+    for j, log in enumerate(logs[1:], start=2):
+        if not np.array_equal(log.sample_id, base.sample_id):
             raise ValueError(f"log {j} is not aligned with log 1 (sample ids differ)")
-        if [r.true_label for r in records] != labels:
+        if not np.array_equal(log.true_label, base.true_label):
             raise ValueError(f"log {j} disagrees with log 1 on true labels")
-        if records[0].probs.shape != base[0].probs.shape:
+        if log.probs.shape != base.probs.shape:
             raise ValueError(f"log {j} has a different number of classes")
 
-    stacked = np.stack(
-        [np.stack([r.probs for r in records]) for records in record_lists]
-    )
-    mean_probs = stacked.mean(axis=0)
+    mean_probs = np.stack([log.probs for log in logs]).mean(axis=0)
     sums = mean_probs.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
         mean_probs = mean_probs / sums[:, None]
     preds = np.argmax(mean_probs, axis=1)
-    out = [
-        PredictionRecord(
-            sample_id=ids[i],
-            true_label=labels[i],
-            pred_label=int(preds[i]),
-            confidence=float(mean_probs[i, preds[i]]),
-            uncertainty=1.0 - float(mean_probs[i, preds[i]]),
-            probs=mean_probs[i],
-        )
-        for i in range(len(base))
-    ]
-    validate_records(out)
-    return out
+    conf = mean_probs[np.arange(len(base)), preds]
+    return Predictions(
+        sample_id=base.sample_id,
+        true_label=base.true_label,
+        pred_label=preds,
+        confidence=conf,
+        uncertainty=1.0 - conf,
+        probs=mean_probs,
+    )

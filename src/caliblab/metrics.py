@@ -1,4 +1,12 @@
-"""Calibration and accuracy metrics over per-sample prediction records.
+"""Calibration and accuracy metrics over columnar prediction records.
+
+Predictions
+-----------
+A ``Predictions`` holds one column per field (ids, labels, confidence,
+uncertainty) plus an (n, C) probability matrix. It is validated once, with
+vectorized checks, when it is built, and its arrays are read-only from then
+on, so no metric validates again. Iterating it yields ``PredictionRecord``
+rows; ``Predictions.from_records`` builds one from such rows.
 
 Binning conventions
 -------------------
@@ -6,7 +14,9 @@ Fixed-width scheme: ``n_bins`` equal intervals of [0, 1]; bin k holds
 confidences in [k/n, (k+1)/n) and the last bin is closed on the right, so a
 confidence of exactly 1.0 lands in the top bin. Adaptive scheme: records are
 stably sorted by confidence and split into ``n_bins`` contiguous groups whose
-sizes differ by at most one (earlier groups take the extra element).
+sizes differ by at most one (earlier groups take the extra element). Both
+schemes assign every record a bin index and sum each bin's count,
+confidences and hits with ``np.bincount``.
 
 ECE is the support-weighted mean absolute gap between bin accuracy and bin
 confidence, MCE the maximum gap over non-empty bins, and the overconfidence
@@ -27,7 +37,7 @@ _SIMPLEX_TOL = 1e-9
 
 @dataclass
 class PredictionRecord:
-    """One scored test sample."""
+    """One scored test sample: a row of a ``Predictions``."""
 
     sample_id: int
     true_label: int
@@ -37,39 +47,131 @@ class PredictionRecord:
     probs: Array
 
 
-def validate_records(records: list[PredictionRecord]) -> None:
-    """Reject structurally broken records; cheap enough to run everywhere."""
-    if not records:
+class RecordError(ValueError):
+    """A prediction record failed validation; `index` is its 0-based row."""
+
+    def __init__(self, index: int, problem: str):
+        super().__init__(f"record {index}: {problem}")
+        self.index = index
+
+
+def _column(values, name: str, integer: bool) -> Array:
+    """A read-only copy of one column in its canonical dtype."""
+    arr = np.asarray(values)
+    if integer and arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
+    arr = np.array(arr, dtype=np.int64 if integer else np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class Predictions:
+    """Scored test samples as columns; row i is sample i.
+
+    Integer columns are stored as int64, the others as float64, each as a
+    read-only copy. Construction validates every row (see
+    ``validate_records``) and raises on the first bad one.
+    """
+
+    sample_id: Array
+    true_label: Array
+    pred_label: Array
+    confidence: Array
+    uncertainty: Array
+    probs: Array  # (n, n_classes)
+
+    def __post_init__(self):
+        for name in ("sample_id", "true_label", "pred_label"):
+            object.__setattr__(self, name, _column(getattr(self, name), name, True))
+        for name in ("confidence", "uncertainty", "probs"):
+            object.__setattr__(self, name, _column(getattr(self, name), name, False))
+        validate_records(self)
+
+    @classmethod
+    def from_records(cls, records: list[PredictionRecord]) -> Predictions:
+        """Stack rows into columns; rows must share one probability width."""
+        if not records:
+            raise ValueError("need at least one prediction record")
+        rows = [np.asarray(r.probs, dtype=np.float64) for r in records]
+        for i, row in enumerate(rows):
+            if row.ndim != 1 or row.shape != rows[0].shape:
+                raise RecordError(i, "inconsistent probability width")
+        return cls(
+            sample_id=[r.sample_id for r in records],
+            true_label=[r.true_label for r in records],
+            pred_label=[r.pred_label for r in records],
+            confidence=[r.confidence for r in records],
+            uncertainty=[r.uncertainty for r in records],
+            probs=np.stack(rows),
+        )
+
+    def __len__(self) -> int:
+        return self.true_label.shape[0]
+
+    def __iter__(self):
+        columns = (
+            self.sample_id.tolist(),
+            self.true_label.tolist(),
+            self.pred_label.tolist(),
+            self.confidence.tolist(),
+            self.uncertainty.tolist(),
+            self.probs,
+        )
+        for row in zip(*columns):
+            yield PredictionRecord(*row)
+
+    @property
+    def n_classes(self) -> int:
+        return self.probs.shape[1]
+
+    @property
+    def correct(self) -> Array:
+        """1.0 where the prediction is right, else 0.0."""
+        return (self.pred_label == self.true_label).astype(np.float64)
+
+
+def validate_records(preds: Predictions) -> None:
+    """Reject structurally broken predictions.
+
+    Every check runs over whole columns; the error names the first bad
+    record and, for that record, the first check it fails.
+    """
+    p = preds.probs
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ValueError("probabilities must form an (n, n_classes) matrix")
+    n, classes = p.shape
+    pred, true = preds.pred_label, preds.true_label
+    conf, unc = preds.confidence, preds.uncertainty
+    if any(c.shape != (n,) for c in (preds.sample_id, true, pred, conf, unc)):
+        raise ValueError("each column needs one entry per probability row")
+    if n == 0:
         raise ValueError("need at least one prediction record")
-    classes = records[0].probs.shape[0]
-    for i, rec in enumerate(records):
-        p = rec.probs
-        if p.ndim != 1 or p.shape[0] != classes:
-            raise ValueError(f"record {i}: inconsistent probability width")
-        if abs(p.sum() - 1.0) > _SIMPLEX_TOL or p.min() < -_SIMPLEX_TOL:
-            raise ValueError(f"record {i}: probabilities are off the simplex")
-        if not 0 <= rec.pred_label < classes:
-            raise ValueError(f"record {i}: predicted label out of range")
-        if not 0 <= rec.true_label < classes:
-            raise ValueError(f"record {i}: true label out of range")
-        if not -_SIMPLEX_TOL <= rec.confidence <= 1.0 + _SIMPLEX_TOL:
-            raise ValueError(f"record {i}: confidence outside [0, 1]")
-        if abs(rec.confidence - p[rec.pred_label]) > _SIMPLEX_TOL:
-            raise ValueError(
-                f"record {i}: confidence does not match predicted-class probability"
-            )
-        if not -_SIMPLEX_TOL <= rec.uncertainty <= 1.0 + _SIMPLEX_TOL:
-            raise ValueError(f"record {i}: uncertainty outside [0, 1]")
-
-
-def _extract(records: list[PredictionRecord]) -> tuple[Array, Array, Array, Array]:
-    conf = np.array([r.confidence for r in records])
-    correct = np.array(
-        [r.pred_label == r.true_label for r in records], dtype=np.float64
-    )
-    labels = np.array([r.true_label for r in records], dtype=np.int64)
-    probs = np.stack([r.probs for r in records])
-    return conf, correct, labels, probs
+    tol = _SIMPLEX_TOL
+    # Each mask marks the rows that fail one check; a record that fails
+    # several is reported with the first in this order.
+    checks = [
+        (
+            ~(np.isfinite(p).all(axis=1) & np.isfinite(conf) & np.isfinite(unc)),
+            "non-finite probability, confidence or uncertainty",
+        ),
+        (
+            ~((np.abs(p.sum(axis=1) - 1.0) <= tol) & (p.min(axis=1) >= -tol)),
+            "probabilities are off the simplex",
+        ),
+        (~((pred >= 0) & (pred < classes)), "predicted label out of range"),
+        (~((true >= 0) & (true < classes)), "true label out of range"),
+        (~((conf >= -tol) & (conf <= 1.0 + tol)), "confidence outside [0, 1]"),
+        (
+            ~(np.abs(conf - p[np.arange(n), np.clip(pred, 0, classes - 1)]) <= tol),
+            "confidence does not match predicted-class probability",
+        ),
+        (~((unc >= -tol) & (unc <= 1.0 + tol)), "uncertainty outside [0, 1]"),
+    ]
+    bad = np.logical_or.reduce([mask for mask, _ in checks])
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise RecordError(i, next(problem for mask, problem in checks if mask[i]))
 
 
 @dataclass
@@ -87,51 +189,55 @@ class BinTable:
 
 
 def reliability_bins(
-    records: list[PredictionRecord], n_bins: int = 10, scheme: str = "fixed"
+    records: Predictions, n_bins: int = 10, scheme: str = "fixed"
 ) -> BinTable:
-    validate_records(records)
     if n_bins < 1:
         raise ValueError("n_bins must be at least 1")
-    conf, correct, _, _ = _extract(records)
+    conf = records.confidence
     n = conf.shape[0]
 
     if scheme == "fixed":
         boundaries = np.arange(n_bins + 1) / n_bins
         # side="right" puts a confidence equal to a boundary into the upper
-        # bin, matching [k/n, (k+1)/n); the clamp closes the last bin at 1.
-        idx = np.minimum(
-            np.searchsorted(boundaries, conf, side="right") - 1, n_bins - 1
+        # bin, matching [k/n, (k+1)/n); the clip closes the last bin at 1
+        # and keeps a confidence within tolerance below 0 in the first.
+        idx = np.clip(
+            np.searchsorted(boundaries, conf, side="right") - 1, 0, n_bins - 1
         )
         lower = boundaries[:-1]
         upper = boundaries[1:]
-        members = [idx == k for k in range(n_bins)]
     elif scheme == "adaptive":
         if n < n_bins:
             raise ValueError(
                 f"adaptive binning needs at least {n_bins} records, got {n}"
             )
         order = np.argsort(conf, kind="stable")
-        groups = np.array_split(order, n_bins)
-        members = []
-        lower = np.zeros(n_bins)
-        upper = np.zeros(n_bins)
-        for k, group in enumerate(groups):
-            mask = np.zeros(n, dtype=bool)
-            mask[group] = True
-            members.append(mask)
-            lower[k] = conf[group[0]]
-            upper[k] = conf[group[-1]]
+        sizes = np.full(n_bins, n // n_bins)
+        sizes[: n % n_bins] += 1
+        idx = np.empty(n, dtype=np.intp)
+        idx[order] = np.repeat(np.arange(n_bins), sizes)
+        ends = np.cumsum(sizes)
+        lower = conf[order[ends - sizes]]
+        upper = conf[order[ends - 1]]
     else:
         raise ValueError(f"unknown binning scheme {scheme!r}")
 
-    count = np.zeros(n_bins, dtype=np.int64)
+    count = np.bincount(idx, minlength=n_bins)
+    occupied = count > 0
     mean_conf = np.zeros(n_bins)
     accuracy = np.zeros(n_bins)
-    for k, mask in enumerate(members):
-        count[k] = int(np.sum(mask))
-        if count[k] > 0:
-            mean_conf[k] = conf[mask].mean()
-            accuracy[k] = correct[mask].mean()
+    np.divide(
+        np.bincount(idx, weights=conf, minlength=n_bins),
+        count,
+        out=mean_conf,
+        where=occupied,
+    )
+    np.divide(
+        np.bincount(idx, weights=records.correct, minlength=n_bins),
+        count,
+        out=accuracy,
+        where=occupied,
+    )
     return BinTable(
         scheme=scheme,
         n_bins=n_bins,
@@ -162,47 +268,36 @@ def overconfidence_from_table(table: BinTable) -> float:
     return float(np.sum(weights * table.mean_confidence * gaps * (table.count > 0)))
 
 
-def expected_calibration_error(
-    records: list[PredictionRecord], n_bins: int = 10
-) -> float:
+def expected_calibration_error(records: Predictions, n_bins: int = 10) -> float:
     return ece_from_table(reliability_bins(records, n_bins, "fixed"))
 
 
-def adaptive_calibration_error(
-    records: list[PredictionRecord], n_bins: int = 10
-) -> float:
+def adaptive_calibration_error(records: Predictions, n_bins: int = 10) -> float:
     return ece_from_table(reliability_bins(records, n_bins, "adaptive"))
 
 
-def max_calibration_error(
-    records: list[PredictionRecord], n_bins: int = 10
-) -> float:
+def max_calibration_error(records: Predictions, n_bins: int = 10) -> float:
     return mce_from_table(reliability_bins(records, n_bins, "fixed"))
 
 
-def overconfidence_error(
-    records: list[PredictionRecord], n_bins: int = 10
-) -> float:
+def overconfidence_error(records: Predictions, n_bins: int = 10) -> float:
     return overconfidence_from_table(reliability_bins(records, n_bins, "fixed"))
 
 
-def balanced_accuracy(records: list[PredictionRecord]) -> float:
+def balanced_accuracy(records: Predictions) -> float:
     """Mean per-class recall over the classes present among true labels."""
-    validate_records(records)
-    _, correct, labels, _ = _extract(records)
-    recalls = []
-    for cls in np.unique(labels):
-        mask = labels == cls
-        recalls.append(correct[mask].mean())
-    return float(np.mean(recalls))
+    labels = records.true_label
+    support = np.bincount(labels)
+    hits = np.bincount(labels, weights=records.correct)
+    present = support > 0
+    return float(np.mean(hits[present] / support[present]))
 
 
-def brier_score(records: list[PredictionRecord]) -> float:
+def brier_score(records: Predictions) -> float:
     """Multiclass Brier score: mean squared distance to the one-hot target."""
-    validate_records(records)
-    _, _, labels, probs = _extract(records)
+    probs = records.probs
     target = np.zeros_like(probs)
-    target[np.arange(labels.shape[0]), labels] = 1.0
+    target[np.arange(probs.shape[0]), records.true_label] = 1.0
     return float(np.mean(np.sum((probs - target) ** 2, axis=1)))
 
 
@@ -233,7 +328,7 @@ class CalibrationReport:
 
 
 def calibration_report(
-    records: list[PredictionRecord], n_bins: int = 10
+    records: Predictions, n_bins: int = 10
 ) -> CalibrationReport:
     """Compute all metrics from one pair of bin tables, so the binned
     numbers agree bitwise with the reliability diagram export."""

@@ -2,9 +2,12 @@
 
 Floats in CSV artifacts are printed with 13 significant digits so logs
 round-trip far inside the 1e-9 tolerances used downstream, and identical
-runs produce byte-identical files. All writers go through a
-write-to-temporary-then-rename step, so a crash never leaves a partially
-written artifact at the target path.
+runs produce byte-identical files. Prediction logs are written with one
+format string per row and read in bulk with numpy's C parser. All writers
+go through ``commit_artifacts``, which stages each file under a unique
+temporary name in the target directory and then renames it into place, so
+a crash never leaves a partially written artifact at the target path and
+concurrent writers never share a temporary file.
 """
 
 from __future__ import annotations
@@ -13,16 +16,12 @@ import csv
 import io
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from .metrics import (
-    BinTable,
-    CalibrationReport,
-    PredictionRecord,
-    validate_records,
-)
+from .metrics import BinTable, CalibrationReport, Predictions, RecordError
 
 _FLOAT_FMT = "{:.12e}"
 
@@ -33,19 +32,7 @@ _LOG_FIXED_FIELDS = [
     "confidence",
     "uncertainty",
 ]
-
-
-def atomic_write_text(path, text: str) -> None:
-    """Write `text` to `path` via a temporary file in the same directory."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+_LOG_INT_FIELDS = 3  # sample_id, true_label, pred_label
 
 
 # -- prediction logs -----------------------------------------------------------
@@ -55,66 +42,89 @@ def log_header(n_classes: int) -> list[str]:
     return _LOG_FIXED_FIELDS + [f"p_{c}" for c in range(n_classes)]
 
 
-def prediction_log_text(records: list[PredictionRecord]) -> str:
-    validate_records(records)
-    n_classes = records[0].probs.shape[0]
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(log_header(n_classes))
-    for rec in records:
-        row = [
-            rec.sample_id,
-            rec.true_label,
-            rec.pred_label,
-            _FLOAT_FMT.format(rec.confidence),
-            _FLOAT_FMT.format(rec.uncertainty),
-        ]
-        row.extend(_FLOAT_FMT.format(p) for p in rec.probs)
-        writer.writerow(row)
-    return buf.getvalue()
+def prediction_log_text(records: Predictions) -> str:
+    """The log as CSV text with CRLF line ends, as ``csv.writer`` writes it."""
+    n_classes = records.n_classes
+    # "%.12e" formats a float exactly as _FLOAT_FMT does.
+    row = "%d,%d,%d,%.12e,%.12e" + ",%.12e" * n_classes + "\r\n"
+    rows = zip(
+        records.sample_id.tolist(),
+        records.true_label.tolist(),
+        records.pred_label.tolist(),
+        records.confidence.tolist(),
+        records.uncertainty.tolist(),
+        *records.probs.T.tolist(),
+    )
+    header = ",".join(log_header(n_classes)) + "\r\n"
+    return header + "".join(map(row.__mod__, rows))
 
 
-def write_prediction_log(path, records: list[PredictionRecord]) -> None:
-    atomic_write_text(path, prediction_log_text(records))
+def write_prediction_log(path, records: Predictions) -> None:
+    commit_artifacts([(path, prediction_log_text(records))])
 
 
-def read_prediction_log(path) -> list[PredictionRecord]:
-    """Parse a prediction log; malformed content names the 1-based line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+def _log_dtype(n_classes: int) -> np.dtype:
+    fields = [(name, np.int64) for name in _LOG_FIXED_FIELDS[:_LOG_INT_FIELDS]]
+    fields += [(name, np.float64) for name in _LOG_FIXED_FIELDS[_LOG_INT_FIELDS:]]
+    return np.dtype(fields + [("probs", np.float64, (n_classes,))])
+
+
+def _malformed(path, body: bytes, width: int, reason) -> ValueError:
+    """The error for a log body the bulk parser rejected: re-scan the rows
+    one at a time and name the first malformed line, else give `reason`."""
+    for lineno, row in enumerate(csv.reader(body.decode("utf-8").splitlines()), 2):
+        if len(row) != width:
+            return ValueError(
+                f"{path}: line {lineno}: expected {width} fields, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: line 1: empty file") from None
-        n_classes = len(header) - len(_LOG_FIXED_FIELDS)
-        if n_classes < 2 or header != log_header(n_classes):
-            raise ValueError(f"{path}: line 1: bad header")
-        records: list[PredictionRecord] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                rec = PredictionRecord(
-                    sample_id=int(row[0]),
-                    true_label=int(row[1]),
-                    pred_label=int(row[2]),
-                    confidence=float(row[3]),
-                    uncertainty=float(row[4]),
-                    probs=np.array([float(v) for v in row[5:]]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            records.append(rec)
-    if not records:
+            for cell in row[:_LOG_INT_FIELDS]:
+                int(cell)
+            for cell in row[_LOG_INT_FIELDS:]:
+                float(cell)
+        except ValueError as exc:
+            return ValueError(f"{path}: line {lineno}: {exc}")
+    return ValueError(f"{path}: {reason}")
+
+
+def read_prediction_log(path) -> Predictions:
+    """Parse a prediction log; malformed content names the 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data:
+        raise ValueError(f"{path}: line 1: empty file")
+    first, _, body = data.partition(b"\n")
+    header = next(csv.reader([first.decode("utf-8")]))
+    n_classes = len(header) - len(_LOG_FIXED_FIELDS)
+    if n_classes < 2 or header != log_header(n_classes):
+        raise ValueError(f"{path}: line 1: bad header")
+    if not body:
         raise ValueError(f"{path}: no data rows")
     try:
-        validate_records(records)
+        table = np.loadtxt(
+            io.BytesIO(body),
+            delimiter=",",
+            dtype=_log_dtype(n_classes),
+            comments=None,
+            ndmin=1,
+            encoding="utf-8",
+        )
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return records
+        raise _malformed(path, body, len(header), exc) from None
+    # loadtxt skips blank lines; in a log every line is a row.
+    if table.shape[0] != body.count(b"\n") + (not body.endswith(b"\n")):
+        raise _malformed(path, body, len(header), "blank line")
+    try:
+        return Predictions(
+            sample_id=table["sample_id"],
+            true_label=table["true_label"],
+            pred_label=table["pred_label"],
+            confidence=table["confidence"],
+            uncertainty=table["uncertainty"],
+            probs=table["probs"],
+        )
+    except RecordError as exc:
+        raise ValueError(f"{path}: line {exc.index + 2}: {exc}") from exc
 
 
 # -- report JSON -----------------------------------------------------------------
@@ -155,7 +165,7 @@ def report_json_text(report: CalibrationReport, meta: dict | None = None) -> str
 
 
 def write_report_json(path, report: CalibrationReport, meta: dict | None = None) -> None:
-    atomic_write_text(path, report_json_text(report, meta))
+    commit_artifacts([(path, report_json_text(report, meta))])
 
 
 def read_report_json(path) -> dict:
@@ -187,7 +197,7 @@ def reliability_csv_text(table: BinTable) -> str:
 
 
 def write_reliability_csv(path, table: BinTable) -> None:
-    atomic_write_text(path, reliability_csv_text(table))
+    commit_artifacts([(path, reliability_csv_text(table))])
 
 
 _SVG_SIZE = 440
@@ -253,26 +263,43 @@ def reliability_svg_text(table: BinTable) -> str:
 
 
 def write_reliability_svg(path, table: BinTable) -> None:
-    atomic_write_text(path, reliability_svg_text(table))
+    commit_artifacts([(path, reliability_svg_text(table))])
 
 
 # -- multi-artifact commit ---------------------------------------------------------
+
+
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
+# mkstemp creates files that only their owner can read; committed artifacts
+# get the mode open() would have given them.
+_ARTIFACT_MODE = 0o666 & ~_umask()
 
 
 def commit_artifacts(plan: list[tuple[object, str]]) -> None:
     """Write several artifacts with all-or-nothing semantics.
 
     Each entry is (path, text). Every payload is staged to a temporary file
-    first; only after all stages succeed are the targets renamed into place.
+    with a unique name in the target's directory first; only after all
+    stages succeed are the targets renamed into place. Writers that commit
+    to one directory at the same time never touch each other's temporary
+    files, and each target ends up holding one writer's complete text.
     """
     staged: list[tuple[Path, Path]] = []
     try:
         for path, text in plan:
             path = Path(path)
-            tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=path.name + ".", suffix=".tmp"
+            )
+            staged.append((Path(tmp), path))
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            staged.append((tmp, path))
+            os.chmod(tmp, _ARTIFACT_MODE)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:

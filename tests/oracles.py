@@ -52,6 +52,31 @@ def _bin_stats(members: list[int], conf, correct) -> tuple[float, float]:
     return mean_conf, acc
 
 
+def naive_bin_table(conf, correct, n_bins: int, scheme: str = "fixed") -> dict:
+    """Every BinTable field, bin by bin; empty bins read 0."""
+    if scheme == "fixed":
+        bins = fixed_bin_members(conf, n_bins)
+        lower = [k / n_bins for k in range(n_bins)]
+        upper = [(k + 1) / n_bins for k in range(n_bins)]
+    else:
+        bins = adaptive_bin_members(conf, n_bins)
+        lower = [conf[members[0]] for members in bins]
+        upper = [conf[members[-1]] for members in bins]
+    count, mean_conf, accuracy = [], [], []
+    for members in bins:
+        count.append(len(members))
+        stats = _bin_stats(members, conf, correct) if members else (0.0, 0.0)
+        mean_conf.append(stats[0])
+        accuracy.append(stats[1])
+    return {
+        "lower": lower,
+        "upper": upper,
+        "count": count,
+        "mean_confidence": mean_conf,
+        "accuracy": accuracy,
+    }
+
+
 def naive_ece(conf, correct, n_bins: int, scheme: str = "fixed") -> float:
     if scheme == "fixed":
         bins = fixed_bin_members(conf, n_bins)

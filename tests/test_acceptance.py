@@ -22,6 +22,7 @@ from caliblab.harness import Classifier, grid_search, multi_seed, train
 from caliblab.losses import cross_entropy, evidential_loss, mmce_loss, total_loss
 from caliblab.metrics import (
     PredictionRecord,
+    Predictions,
     adaptive_calibration_error,
     balanced_accuracy,
     brier_score,
@@ -230,7 +231,7 @@ def _random_records(rng, n, classes):
     probs = z / z.sum(axis=1, keepdims=True)
     preds = np.argmax(probs, axis=1)
     true = rng.integers(0, classes, n)
-    return [
+    return Predictions.from_records([
         PredictionRecord(
             sample_id=i,
             true_label=int(true[i]),
@@ -240,11 +241,11 @@ def _random_records(rng, n, classes):
             probs=probs[i],
         )
         for i in range(n)
-    ]
+    ])
 
 
 def _binary_records(conf, correct):
-    return [
+    return Predictions.from_records([
         PredictionRecord(
             sample_id=i,
             true_label=0 if ok else 1,
@@ -254,7 +255,7 @@ def _binary_records(conf, correct):
             probs=np.array([float(c), 1.0 - float(c)]),
         )
         for i, (c, ok) in enumerate(zip(conf, correct))
-    ]
+    ])
 
 
 def test_criterion_02_metric_oracle_equivalence(capsys):

@@ -192,6 +192,19 @@ def test_unreadable_log_exits_nonzero(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_log_with_a_nan_cell(tmp_path, capsys):
+    # Twelve rows whose losing probability is NaN: the report would carry a
+    # NaN Brier score, which is not valid JSON.
+    rows = ["sample_id,true_label,pred_label,confidence,uncertainty,p_0,p_1"]
+    rows += [f"{i},0,0,6.0e-01,4.0e-01,6.0e-01,nan" for i in range(12)]
+    log = tmp_path / "nan.csv"
+    log.write_text("\r\n".join(rows) + "\r\n")
+    assert run_cli("evaluate", log) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "nan.csv: line 2: record 0: non-finite" in captured.err
+
+
 def test_out_dir_env_var_is_honored(tmp_path, config_path, monkeypatch, capsys):
     dest = tmp_path / "from_env"
     monkeypatch.setenv("CALIBLAB_OUT", str(dest))

@@ -18,7 +18,7 @@ from caliblab.harness import (
     predict_records,
     train,
 )
-from caliblab.metrics import balanced_accuracy
+from caliblab.metrics import Predictions, balanced_accuracy
 from caliblab.reports import prediction_log_text
 
 from oracles import top_singular_value
@@ -267,11 +267,15 @@ def test_ensemble_rejects_misaligned_logs():
     a = _records_for(0, ds)
     b = _records_for(1, ds)
 
-    shifted = [dataclasses.replace(r, sample_id=r.sample_id + 1) for r in b]
+    shifted = Predictions.from_records(
+        [dataclasses.replace(r, sample_id=r.sample_id + 1) for r in b]
+    )
     with pytest.raises(ValueError, match="log 2.*sample ids"):
         ensemble([a, shifted])
 
-    relabeled = [dataclasses.replace(r, true_label=1 - r.true_label) for r in b]
+    relabeled = Predictions.from_records(
+        [dataclasses.replace(r, true_label=1 - r.true_label) for r in b]
+    )
     with pytest.raises(ValueError, match="log 2.*true labels"):
         ensemble([a, relabeled])
 

@@ -1,12 +1,15 @@
 """Metric tests: worked examples, oracle agreement, invariants, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from caliblab.metrics import (
     PredictionRecord,
+    Predictions,
     adaptive_calibration_error,
     balanced_accuracy,
     brier_score,
@@ -15,10 +18,16 @@ from caliblab.metrics import (
     max_calibration_error,
     overconfidence_error,
     reliability_bins,
-    validate_records,
 )
 
-from oracles import naive_bacc, naive_brier, naive_ece, naive_mce, naive_oe
+from oracles import (
+    naive_bacc,
+    naive_bin_table,
+    naive_brier,
+    naive_ece,
+    naive_mce,
+    naive_oe,
+)
 
 
 def binary_records(conf, correct):
@@ -36,7 +45,7 @@ def binary_records(conf, correct):
                 probs=np.array([c, 1.0 - c]),
             )
         )
-    return records
+    return Predictions.from_records(records)
 
 
 def random_records(rng, n, classes):
@@ -45,7 +54,7 @@ def random_records(rng, n, classes):
     probs = z / z.sum(axis=1, keepdims=True)
     preds = np.argmax(probs, axis=1)
     true = rng.integers(0, classes, n)
-    return [
+    return Predictions.from_records([
         PredictionRecord(
             sample_id=i,
             true_label=int(true[i]),
@@ -55,7 +64,7 @@ def random_records(rng, n, classes):
             probs=probs[i],
         )
         for i in range(n)
-    ]
+    ])
 
 
 WORKED = binary_records([0.9, 0.8, 0.7, 0.3], [True, False, True, False])
@@ -157,7 +166,8 @@ def test_unknown_scheme_rejected():
 def test_metrics_are_permutation_invariant():
     rng = np.random.default_rng(1)
     records = random_records(rng, 50, 3)
-    shuffled = [records[i] for i in rng.permutation(50)]
+    rows = list(records)
+    shuffled = Predictions.from_records([rows[i] for i in rng.permutation(50)])
     a = calibration_report(records, n_bins=7)
     b = calibration_report(shuffled, n_bins=7)
     for key in a.metric_dict():
@@ -182,10 +192,10 @@ def test_balanced_accuracy_weights_classes_equally():
 
 def test_balanced_accuracy_ignores_absent_classes():
     probs = np.array([0.7, 0.2, 0.1])
-    records = [
+    records = Predictions.from_records([
         PredictionRecord(0, 0, 0, 0.7, 0.3, probs),
         PredictionRecord(1, 1, 0, 0.7, 0.3, probs),
-    ]
+    ])
     # classes present: {0, 1}; class 2 exists in probs but has no samples
     assert balanced_accuracy(records) == 0.5
 
@@ -211,27 +221,27 @@ def test_report_agrees_with_standalone_metric_functions():
 
 
 def test_validation_rejects_broken_records():
-    good = binary_records([0.8], [True])[0]
+    good = next(iter(binary_records([0.8], [True])))
     with pytest.raises(ValueError, match="at least one"):
-        validate_records([])
+        Predictions.from_records([])
     bad = PredictionRecord(0, 0, 0, 0.8, 0.2, np.array([0.8, 0.4]))
     with pytest.raises(ValueError, match="simplex"):
-        validate_records([bad])
+        Predictions.from_records([bad])
     bad = PredictionRecord(0, 0, 0, 0.5, 0.2, np.array([0.8, 0.2]))
     with pytest.raises(ValueError, match="confidence does not match"):
-        validate_records([bad])
+        Predictions.from_records([bad])
     bad = PredictionRecord(0, 5, 0, 0.8, 0.2, np.array([0.8, 0.2]))
     with pytest.raises(ValueError, match="true label"):
-        validate_records([bad])
+        Predictions.from_records([bad])
     bad = PredictionRecord(0, 0, 3, 0.8, 0.2, np.array([0.8, 0.2]))
     with pytest.raises(ValueError, match="predicted label"):
-        validate_records([bad])
+        Predictions.from_records([bad])
     bad = PredictionRecord(0, 0, 0, 0.8, 1.7, np.array([0.8, 0.2]))
     with pytest.raises(ValueError, match="uncertainty"):
-        validate_records([bad])
+        Predictions.from_records([bad])
     wide = PredictionRecord(1, 0, 0, 0.6, 0.4, np.array([0.6, 0.3, 0.1]))
-    with pytest.raises(ValueError, match="width"):
-        validate_records([good, wide])
+    with pytest.raises(ValueError, match="record 1: inconsistent probability width"):
+        Predictions.from_records([good, wide])
 
 
 @settings(max_examples=40, deadline=None)
@@ -255,3 +265,99 @@ def test_binned_metric_ranges(pairs, n_bins):
     assert 0.0 <= oe <= 1.0
     assert mce >= ece - 1e-15
     assert 0.0 <= brier_score(records) <= 2.0
+
+
+def test_predictions_reject_non_finite_values():
+    # A NaN in the losing column passed the simplex and confidence checks
+    # once, and the Brier score of such records came out NaN.
+    rows = [
+        PredictionRecord(i, 0, 0, 0.6, 0.4, np.array([0.6, np.nan])) for i in range(12)
+    ]
+    with pytest.raises(ValueError, match="record 0: non-finite"):
+        Predictions.from_records(rows)
+    good = list(binary_records([0.8] * 6, [True] * 6))
+    for field, value in (
+        ("probs", np.array([0.8, np.inf])),
+        ("probs", np.array([np.nan, 0.2])),
+        ("confidence", np.nan),
+        ("uncertainty", -np.inf),
+    ):
+        rows = list(good)
+        rows[4] = dataclasses.replace(good[4], **{field: value})
+        with pytest.raises(ValueError, match="record 4: non-finite"):
+            Predictions.from_records(rows)
+
+
+def test_predictions_rows_and_columns():
+    records = binary_records([0.9, 0.6, 0.7], [True, False, True])
+    assert len(records) == 3 and records.n_classes == 2
+    rows = list(records)
+    assert [r.sample_id for r in rows] == [0, 1, 2]
+    assert type(rows[1].true_label) is int and type(rows[1].confidence) is float
+    assert np.array_equal(Predictions.from_records(rows).probs, records.probs)
+    assert not records.probs.flags.writeable  # validated once, so frozen
+    with pytest.raises(ValueError, match="true_label must hold integers"):
+        Predictions(
+            sample_id=[0],
+            true_label=[0.5],
+            pred_label=[0],
+            confidence=[1.0],
+            uncertainty=[0.0],
+            probs=[[1.0, 0.0]],
+        )
+
+
+def _log_on_bin_edges(seed, classes, n):
+    """Random softmax rows, a quarter of them moved onto a confidence k/10."""
+    rng = np.random.default_rng(seed)
+    logits = rng.standard_normal((n, classes)) * rng.uniform(0.5, 3.0)
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = z / z.sum(axis=1, keepdims=True)
+    edges = [k / 10 for k in range(11) if k / 10 >= 1 / classes]
+    for i in rng.choice(n, size=n // 4, replace=False):
+        top = edges[rng.integers(len(edges))]
+        probs[i] = [top] + [(1.0 - top) / (classes - 1)] * (classes - 1)
+    preds = np.argmax(probs, axis=1)
+    conf = probs[np.arange(n), preds]
+    true = rng.integers(0, classes, n)
+    return Predictions(
+        sample_id=np.arange(n),
+        true_label=true,
+        pred_label=preds,
+        confidence=conf,
+        uncertainty=1.0 - conf,
+        probs=probs,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(2, 6),
+    st.integers(10, 500),
+    st.sampled_from([2, 3, 5, 7, 10]),
+)
+@example(seed=0, classes=3, n=23, n_bins=10)  # adaptive groups of 3 and 2
+def test_bin_tables_and_metrics_match_oracle_on_random_logs(seed, classes, n, n_bins):
+    records = _log_on_bin_edges(seed, classes, n)
+    conf = records.confidence.tolist()
+    true = records.true_label.tolist()
+    pred = records.pred_label.tolist()
+    correct = [p == t for p, t in zip(pred, true)]
+    report = calibration_report(records, n_bins)
+    for table in (report.fixed_bins, report.adaptive_bins):
+        want = naive_bin_table(conf, correct, n_bins, table.scheme)
+        assert (table.n_bins, table.n_samples) == (n_bins, n)
+        assert table.count.tolist() == want["count"]
+        for field in ("lower", "upper", "mean_confidence", "accuracy"):
+            assert np.max(np.abs(getattr(table, field) - want[field])) <= 1e-12
+    expected = {
+        "bacc": naive_bacc(true, pred),
+        "ece": naive_ece(conf, correct, n_bins),
+        "aece": naive_ece(conf, correct, n_bins, scheme="adaptive"),
+        "mce": naive_mce(conf, correct, n_bins),
+        "oe": naive_oe(conf, correct, n_bins),
+        "brier": naive_brier(records.probs, true),
+    }
+    for key, value in report.metric_dict().items():
+        assert abs(value - expected[key]) <= 1e-12, key

@@ -1,14 +1,16 @@
 """Prediction-log, report-JSON, diagram export, and atomic-write tests."""
 
 import json
+import os
+import sys
+import threading
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from caliblab.metrics import calibration_report, reliability_bins
+from caliblab.metrics import Predictions, calibration_report, reliability_bins
 from caliblab.reports import (
-    atomic_write_text,
     commit_artifacts,
     prediction_log_text,
     read_prediction_log,
@@ -76,6 +78,68 @@ def test_prediction_log_read_errors_name_lines(tmp_path):
         read_prediction_log(path)
 
 
+# Written by the csv.writer-based formatter that preceded the bulk one.
+GOLDEN_LOG = (
+    "sample_id,true_label,pred_label,confidence,uncertainty,p_0,p_1,p_2\r\n"
+    "7,0,0,7.000000000000e-01,3.000000000000e-01,"
+    "7.000000000000e-01,2.000000000000e-01,1.000000000000e-01\r\n"
+    "3,2,1,3.533333333333e-01,6.466666666667e-01,"
+    "3.233333333333e-01,3.533333333333e-01,3.233333333333e-01\r\n"
+    "12,1,1,1.000000000000e+00,0.000000000000e+00,"
+    "0.000000000000e+00,1.000000000000e+00,0.000000000000e+00\r\n"
+    "0,1,2,5.000000000000e-01,5.000000000000e-01,"
+    "2.500000000000e-01,2.500000000000e-01,5.000000000000e-01\r\n"
+    "100000,0,0,9.999998000000e-01,2.000000000058e-07,"
+    "9.999998000000e-01,1.000000000000e-07,1.000000000000e-07\r\n"
+)
+
+
+def test_prediction_log_text_matches_golden_bytes():
+    probs = np.array(
+        [
+            [0.7, 0.2, 0.1],
+            [1 / 3 - 0.01, 1 / 3 + 0.02, 1 / 3 - 0.01],
+            [0.0, 1.0, 0.0],
+            [0.25, 0.25, 0.5],
+            [1 - 2e-7, 1e-7, 1e-7],
+        ]
+    )
+    pred = np.argmax(probs, axis=1)
+    conf = probs[np.arange(5), pred]
+    records = Predictions(
+        sample_id=[7, 3, 12, 0, 100000],
+        true_label=[0, 2, 1, 1, 0],
+        pred_label=pred,
+        confidence=conf,
+        uncertainty=1.0 - conf,
+        probs=probs,
+    )
+    assert prediction_log_text(records) == GOLDEN_LOG
+
+
+@pytest.mark.parametrize(
+    "line, old, new",
+    [
+        (2, "7,0,0,", "7,1.5,0,"),  # true_label written as a float
+        (5, ",5.000000000000e-01\r\n", ",abc\r\n"),  # probability not a number
+        (4, ",0.000000000000e+00\r\n", "\r\n"),  # short row
+        (3, "3,2,1,", "\r\n3,2,1,"),  # blank line
+    ],
+)
+def test_prediction_log_malformed_cells_name_their_line(tmp_path, line, old, new):
+    path = tmp_path / "log.csv"
+    path.write_bytes(GOLDEN_LOG.replace(old, new, 1).encode())
+    with pytest.raises(ValueError, match=f"log.csv: line {line}: "):
+        read_prediction_log(path)
+
+
+def test_prediction_log_non_finite_cell_names_its_line(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_bytes(GOLDEN_LOG.replace("1.000000000000e-07\r\n", "nan\r\n").encode())
+    with pytest.raises(ValueError, match="line 6: record 4: non-finite"):
+        read_prediction_log(path)
+
+
 def test_report_json_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     records = random_records(rng, 30, 3)
@@ -124,8 +188,8 @@ def test_reliability_svg_is_wellformed_and_annotated():
 
 def test_atomic_write_replaces_existing_content(tmp_path):
     path = tmp_path / "file.txt"
-    atomic_write_text(path, "first")
-    atomic_write_text(path, "second")
+    commit_artifacts([(path, "first")])
+    commit_artifacts([(path, "second")])
     assert path.read_text() == "second"
     assert list(tmp_path.iterdir()) == [path]  # no stray temp files
 
@@ -133,7 +197,7 @@ def test_atomic_write_replaces_existing_content(tmp_path):
 def test_atomic_write_failure_leaves_no_tmp(tmp_path):
     missing_dir = tmp_path / "absent" / "file.txt"
     with pytest.raises(OSError):
-        atomic_write_text(missing_dir, "content")
+        commit_artifacts([(missing_dir, "content")])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -151,3 +215,41 @@ def test_commit_artifacts_is_all_or_nothing(tmp_path):
     with pytest.raises(OSError):
         commit_artifacts([(ok, "data"), (bad, "data")])
     assert list(target.iterdir()) == []  # nothing staged or committed survives
+
+
+def test_committed_files_get_the_mode_open_gives(tmp_path):
+    reference = tmp_path / "reference.txt"
+    reference.write_text("x")
+    path = tmp_path / "committed.txt"
+    commit_artifacts([(path, "x")])
+    assert path.stat().st_mode == reference.stat().st_mode
+
+
+def test_concurrent_commits_to_one_directory_never_collide(tmp_path):
+    writers, rounds = 4, 50  # more threads than cores, so commits interleave
+    names = ["a.csv", "b.json"]
+    texts = {w: f"writer {w}\n" * 2000 for w in range(writers)}
+    errors = []
+
+    def commit(w):
+        try:
+            for _ in range(rounds):
+                commit_artifacts([(tmp_path / n, texts[w]) for n in names])
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=commit, args=(w,)) for w in range(writers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sorted(os.listdir(tmp_path)) == names  # no temporary file left
+    for name in names:
+        assert (tmp_path / name).read_text() in texts.values()
