@@ -9,7 +9,7 @@ import numpy as np
 
 from caliblab.autodiff import constant, finite_diff_grad, gradients, parameter, softmax
 from caliblab.losses import cross_entropy
-from caliblab.nn import Adam, forward_layers, init_dense
+from caliblab.nn import Adam, init_dense
 
 # ---------------------------------------------------------------------------
 # 1. Scalars first: d/dx of x*sigmoid(x) at x=1.5, by tape and by hand.
@@ -53,7 +53,9 @@ params = [p for layer in layers for p in layer.parameters()]
 opt = Adam(lr=0.05)
 
 for epoch in range(30):
-    logits = forward_layers(layers, constant(features))
+    logits = constant(features)
+    for layer in layers:
+        logits = layer(logits)
     loss = cross_entropy(softmax(logits), labels)
     opt.step(params, gradients(loss, params))
     if epoch % 10 == 0 or epoch == 29:

@@ -57,22 +57,16 @@ from .metrics import (
     overconfidence_error,
     reliability_bins,
 )
-from .nn import Adam, DenseLayer, SGDMomentum, forward_layers, init_dense
-from .reports import (
-    read_prediction_log,
-    read_report_json,
-    write_prediction_log,
-    write_report_json,
-)
+from .nn import Adam, DenseLayer, SGDMomentum, init_dense
+from .reports import read_prediction_log, read_report_json
 from .uncertainty import (
     DirichletOutput,
     ModelOutput,
     SpectralNorm,
     dm_logits,
     evidence_head,
+    head_output,
     init_prototypes,
-    spectral_normalize,
-    uncertainty_of,
 )
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, LoadedConfig, config_digest, dump_config, load_config
+from .config import ConfigError, config_digest, dump_config, load_config
 from .datasets import make_dataset
 from .harness import (
     TrainingError,
@@ -40,22 +40,14 @@ from .reports import (
 ENV_OUT_DIR = "CALIBLAB_OUT"
 
 
-def _default_out() -> str:
-    return os.environ.get(ENV_OUT_DIR, ".")
-
-
 def _resolve_out(args) -> Path:
-    out = Path(args.out if args.out is not None else _default_out())
+    out = Path(args.out if args.out is not None else os.environ.get(ENV_OUT_DIR, "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load(args) -> LoadedConfig:
-    return load_config(args.config)
-
-
 def cmd_train(args) -> int:
-    loaded = _load(args)
+    loaded = load_config(args.config)
     dataset = make_dataset(loaded.data)
     result = train(loaded.training, dataset, n_bins=args.bins)
     report = result.report
@@ -89,7 +81,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    loaded = _load(args)
+    loaded = load_config(args.config)
     if not loaded.grid:
         raise ConfigError("config file has no [grid] section to sweep")
     dataset = make_dataset(loaded.data)
@@ -117,8 +109,6 @@ def cmd_grid(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    if len(args.logs) < 2:
-        raise ValueError("ensemble needs at least two prediction logs")
     logs = [read_prediction_log(p) for p in args.logs]
     combined = ensemble(logs)
     report = calibration_report(combined, n_bins=args.bins)
@@ -140,7 +130,7 @@ def cmd_ensemble(args) -> int:
 def cmd_multiseed(args) -> int:
     if args.seeds < 2:
         raise ValueError("--seeds must be at least 2")
-    loaded = _load(args)
+    loaded = load_config(args.config)
     dataset = make_dataset(loaded.data)
     agg = multi_seed(loaded.training, dataset, args.seeds, n_bins=args.bins)
 

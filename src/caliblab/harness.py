@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, constant, gradients, parameter, softmax
+from .autodiff import Tensor, constant, gradients, parameter
 from .config import ModelSpec, OptimizerSpec, TrainingConfig, apply_override
 from .datasets import Dataset, augment
 from .losses import total_loss
@@ -32,16 +32,12 @@ from .nn import Adam, DenseLayer, SGDMomentum, init_dense
 from .uncertainty import (
     ModelOutput,
     SpectralNorm,
-    dm_logits,
-    evidence_head,
+    TrainingError,
+    head_output,
     init_prototypes,
 )
 
 METRIC_NAMES = ("bacc", "ece", "aece", "mce", "oe", "brier")
-
-
-class TrainingError(RuntimeError):
-    """Raised when a run cannot proceed (for example a non-finite loss)."""
 
 
 class Classifier:
@@ -110,49 +106,7 @@ class Classifier:
                     sn.refresh(layer.weight.data)
                 weight = sn.normalized(layer.weight)
             out = layer(out, weight=weight)
-        if not np.all(np.isfinite(out.data)):
-            raise TrainingError(
-                "non-finite activations in the forward pass: the run diverged"
-            )
-
-        head = self.spec.head
-        if head == "softmax":
-            probs = softmax(out)
-            conf = probs.row_max()
-            return ModelOutput(
-                head=head,
-                logits=out,
-                probs=probs,
-                confidence=conf,
-                uncertainty=1.0 - conf,
-            )
-        if head == "enn":
-            dirichlet = evidence_head(out)
-            conf = dirichlet.prob.row_max()
-            return ModelOutput(
-                head=head,
-                logits=out,
-                probs=dirichlet.prob,
-                confidence=conf,
-                uncertainty=dirichlet.uncertainty,
-                dirichlet=dirichlet,
-            )
-        logits = dm_logits(out, self.prototypes)
-        if not np.all(np.isfinite(logits.data)):
-            raise TrainingError(
-                "non-finite distance logits in the forward pass: the run diverged"
-            )
-        probs = softmax(logits)
-        conf = probs.row_max()
-        return ModelOutput(
-            head=head,
-            logits=logits,
-            probs=probs,
-            confidence=conf,
-            uncertainty=1.0 - conf,
-            latent=out,
-            prototypes=self.prototypes,
-        )
+        return head_output(self.spec.head, out, self.prototypes)
 
 
 def make_optimizer(spec: OptimizerSpec):
@@ -362,7 +316,8 @@ def ensemble(logs: list[Predictions]) -> Predictions:
     Logs must cover the same sample ids in the same order with identical
     true labels. Averaged rows are renormalized only if their sum drifts
     from 1 by more than 1e-9; confidence is the winning averaged
-    probability and uncertainty its complement.
+    probability and uncertainty its complement. A tie between classes goes
+    to the lowest class index.
     """
     if len(logs) < 2:
         raise ValueError("ensemble needs at least two prediction logs")

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Array, Tensor, constant, parameter
+from .autodiff import Array, Tensor, parameter
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -23,14 +23,6 @@ class DenseLayer:
     def __post_init__(self) -> None:
         if self.activation not in _ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-
-    @property
-    def n_in(self) -> int:
-        return self.weight.data.shape[1]
-
-    @property
-    def n_out(self) -> int:
-        return self.weight.data.shape[0]
 
     def __call__(self, x: Tensor, weight: Tensor | None = None) -> Tensor:
         """Apply the layer; `weight` substitutes a transformed weight tensor."""
@@ -53,19 +45,6 @@ def init_dense(
     weight = parameter(rng.standard_normal((n_out, n_in)) * scale)
     bias = parameter(np.zeros(n_out))
     return DenseLayer(weight=weight, bias=bias, activation=activation)
-
-
-def forward_layers(layers: Sequence[DenseLayer], x: Tensor) -> Tensor:
-    """Run `x` through a layer stack, naming the offending layer on mismatch."""
-    out = x
-    for i, layer in enumerate(layers):
-        if out.data.ndim != 2 or out.data.shape[1] != layer.n_in:
-            raise ValueError(
-                f"layer {i} expects input width {layer.n_in}, "
-                f"got shape {out.data.shape}"
-            )
-        out = layer(out)
-    return out
 
 
 def _check_grads(params: Sequence[Tensor], grads: Sequence[Array]) -> None:

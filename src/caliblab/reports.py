@@ -59,10 +59,6 @@ def prediction_log_text(records: Predictions) -> str:
     return header + "".join(map(row.__mod__, rows))
 
 
-def write_prediction_log(path, records: Predictions) -> None:
-    commit_artifacts([(path, prediction_log_text(records))])
-
-
 def _log_dtype(n_classes: int) -> np.dtype:
     fields = [(name, np.int64) for name in _LOG_FIXED_FIELDS[:_LOG_INT_FIELDS]]
     fields += [(name, np.float64) for name in _LOG_FIXED_FIELDS[_LOG_INT_FIELDS:]]
@@ -164,10 +160,6 @@ def report_json_text(report: CalibrationReport, meta: dict | None = None) -> str
     return json.dumps(report_payload(report, meta), indent=2) + "\n"
 
 
-def write_report_json(path, report: CalibrationReport, meta: dict | None = None) -> None:
-    commit_artifacts([(path, report_json_text(report, meta))])
-
-
 def read_report_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
@@ -194,10 +186,6 @@ def reliability_csv_text(table: BinTable) -> str:
             ]
         )
     return buf.getvalue()
-
-
-def write_reliability_csv(path, table: BinTable) -> None:
-    commit_artifacts([(path, reliability_csv_text(table))])
 
 
 _SVG_SIZE = 440
@@ -260,10 +248,6 @@ def reliability_svg_text(table: BinTable) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_reliability_svg(path, table: BinTable) -> None:
-    commit_artifacts([(path, reliability_svg_text(table))])
 
 
 # -- multi-artifact commit ---------------------------------------------------------

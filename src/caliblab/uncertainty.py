@@ -8,8 +8,9 @@ signal:
 * a distance-based prototype layer whose logits are negative euclidean
   distances to trainable class prototypes.
 
-``uncertainty_of`` extracts a (confidence, uncertainty) pair per sample in a
-head-appropriate way so downstream losses and metrics never special-case.
+``head_output`` turns backbone features into the probabilities, confidence
+and uncertainty of any of the three heads, so downstream losses and metrics
+never special-case.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Array, Tensor, as_tensor, constant, softmax
+from .config import HEAD_KINDS
+
+
+class TrainingError(RuntimeError):
+    """Raised when a run cannot proceed (for example a non-finite loss)."""
 
 
 @dataclass
@@ -143,13 +149,6 @@ class SpectralNorm:
         return weight / scale
 
 
-def spectral_normalize(weight: Tensor, state: SpectralNorm) -> Tensor:
-    """Refresh the power-iteration state for `weight` and rescale it."""
-    weight = as_tensor(weight)
-    state.refresh(weight.data)
-    return state.normalized(weight)
-
-
 def init_prototypes(
     n_classes: int, dim: int, rng: np.random.Generator
 ) -> Array:
@@ -195,29 +194,41 @@ class ModelOutput:
 
     @property
     def predictions(self) -> Array:
+        """Argmax class per row; a tie goes to the lowest class index."""
         return np.argmax(self.probs.data, axis=1)
 
 
-def uncertainty_of(head: str, output) -> tuple[Tensor, Tensor]:
-    """Per-sample (confidence, uncertainty) tensors for a head's raw output.
+def head_output(
+    head: str, features: Tensor, prototypes: Tensor | None = None
+) -> ModelOutput:
+    """Probabilities, confidence and uncertainty of a head on backbone features.
 
-    softmax: `output` is a row-stochastic probability tensor; confidence is
-    the winning probability and uncertainty its complement. enn: `output` is
-    a DirichletOutput; confidence is the top expected probability and
-    uncertainty the Dirichlet mass M/S. dm: `output` is the distance-logit
-    tensor; the softmax of those logits is scored like the softmax head.
+    dm scores `features` as a latent against `prototypes` with `dm_logits`;
+    softmax and enn take `features` as their logits. enn reads probabilities
+    and the uncertainty mass M/S off the Dirichlet of `evidence_head`;
+    softmax and dm take softmax(logits) and score uncertainty as 1 - conf.
+    Confidence is the winning probability for every head. Non-finite logits
+    raise TrainingError before any probability is formed.
     """
-    if head == "softmax":
-        probs = as_tensor(output)
-        conf = probs.row_max()
-        return conf, 1.0 - conf
-    if head == "enn":
-        if not isinstance(output, DirichletOutput):
-            raise TypeError("enn head expects a DirichletOutput")
-        conf = output.prob.row_max()
-        return conf, output.uncertainty
-    if head == "dm":
-        probs = softmax(as_tensor(output))
-        conf = probs.row_max()
-        return conf, 1.0 - conf
-    raise ValueError(f"unknown head kind {head!r}")
+    if head not in HEAD_KINDS:
+        raise ValueError(f"unknown head kind {head!r}")
+    features = as_tensor(features)
+    is_dm = head == "dm"
+    logits = dm_logits(features, prototypes) if is_dm else features
+    if not np.all(np.isfinite(logits.data)):
+        raise TrainingError(
+            f"non-finite {head} logits in the forward pass: the run diverged"
+        )
+    dirichlet = evidence_head(logits) if head == "enn" else None
+    probs = softmax(logits) if dirichlet is None else dirichlet.prob
+    conf = probs.row_max()
+    return ModelOutput(
+        head=head,
+        logits=logits,
+        probs=probs,
+        confidence=conf,
+        uncertainty=1.0 - conf if dirichlet is None else dirichlet.uncertainty,
+        dirichlet=dirichlet,
+        latent=features if is_dm else None,
+        prototypes=prototypes if is_dm else None,
+    )

@@ -32,7 +32,7 @@ from caliblab.metrics import (
     overconfidence_error,
 )
 from caliblab.reports import read_report_json
-from caliblab.uncertainty import SpectralNorm, evidence_head, spectral_normalize
+from caliblab.uncertainty import SpectralNorm, evidence_head
 
 from oracles import (
     mmce_three_sums,
@@ -332,7 +332,8 @@ def test_criterion_04_spectral_norm_bound(capsys):
             weight = rng.normal(0.0, scale, size=(n_out, n_in))
             coeff = float(rng.uniform(0.3, 3.0))
             state = SpectralNorm(coeff=coeff, shape=weight.shape, rng=rng)
-            scaled = spectral_normalize(constant(weight), state)
+            state.refresh(weight)
+            scaled = state.normalized(constant(weight))
             assert top_singular_value(scaled.data) <= coeff * 1.001
 
 

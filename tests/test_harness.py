@@ -132,6 +132,18 @@ def test_diverged_run_raises_training_error():
             fit(cfg, ds)
 
 
+def test_diverged_dm_head_raises_training_error():
+    # prototypes at 1e200 overflow the squared distances, so the distance
+    # logits are -inf; forward must fail before softmax sees them
+    model = Classifier(
+        ModelSpec(hidden=(8,), head="dm"), 2, 3, np.random.default_rng(0)
+    )
+    model.prototypes.data[...] = 1e200
+    with pytest.raises(TrainingError, match="non-finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            model.forward(np.ones((4, 2)))
+
+
 def test_forward_rejects_wrong_feature_width():
     ds = blobs()
     model, _ = fit(quick_config(epochs=1), ds)
@@ -260,6 +272,24 @@ def test_ensemble_averages_probability_rows():
         hi = np.maximum(ra.probs, rb.probs)
         assert np.all(rc.probs >= lo - 1e-12) and np.all(rc.probs <= hi + 1e-12)
         assert rc.true_label == ra.true_label
+
+
+def test_ensemble_tie_goes_to_lowest_class():
+    def log(row):
+        probs = np.array([row])
+        top = int(np.argmax(probs))
+        return Predictions(
+            sample_id=[0],
+            true_label=[1],
+            pred_label=[top],
+            confidence=[row[top]],
+            uncertainty=[1.0 - row[top]],
+            probs=probs,
+        )
+
+    combined = ensemble([log([0.6, 0.4]), log([0.4, 0.6])])
+    assert combined.pred_label.tolist() == [0]
+    assert combined.confidence.tolist() == [0.5]
 
 
 def test_ensemble_rejects_misaligned_logs():

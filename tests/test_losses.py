@@ -21,7 +21,7 @@ from caliblab.losses import (
     one_hot,
     total_loss,
 )
-from caliblab.uncertainty import ModelOutput, dm_logits, evidence_head, uncertainty_of
+from caliblab.uncertainty import dm_logits, evidence_head, head_output
 
 from oracles import avuc_hard_counts, mmce_three_sums
 
@@ -31,14 +31,6 @@ def _max_rel_err(a, b, floor=1e-6):
     b = np.asarray(b)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return float(np.max(np.abs(a - b) / denom))
-
-
-def _softmax_output(logits, head="softmax"):
-    probs = softmax(logits)
-    conf, unc = uncertainty_of("softmax", probs)
-    return ModelOutput(
-        head=head, logits=logits, probs=probs, confidence=conf, uncertainty=unc
-    )
 
 
 # -------------------------------------------------------------- cross-entropy
@@ -220,10 +212,9 @@ def test_avuc_gradient_matches_finite_differences():
     labels = rng.integers(0, 3, 8)
 
     def build():
-        probs = softmax(logits)
-        conf, unc = uncertainty_of("softmax", probs)
-        correct = (np.argmax(probs.data, axis=1) == labels).astype(float)
-        return avuc_loss(conf, unc, correct, sharpness=0.1)
+        out = head_output("softmax", logits)
+        correct = (np.argmax(out.probs.data, axis=1) == labels).astype(float)
+        return avuc_loss(out.confidence, out.uncertainty, correct, sharpness=0.1)
 
     (bp,) = gradients(build(), [logits])
     (fd,) = finite_diff_grad(lambda: float(build().data), [logits])
@@ -384,7 +375,7 @@ def test_total_loss_all_zero_weights_is_bitwise_cross_entropy():
     rng = np.random.default_rng(8)
     logits = constant(rng.standard_normal((7, 3)))
     labels = rng.integers(0, 3, 7)
-    output = _softmax_output(logits)
+    output = head_output("softmax", logits)
     total = total_loss(output, labels, LossWeights())
     plain = cross_entropy(output.probs, labels)
     assert float(total.data) == float(plain.data)
@@ -394,7 +385,7 @@ def test_total_loss_ignores_weights_foreign_to_the_head():
     rng = np.random.default_rng(9)
     logits = constant(rng.standard_normal((4, 2)))
     labels = rng.integers(0, 2, 4)
-    output = _softmax_output(logits)
+    output = head_output("softmax", logits)
     weights = LossWeights(dm_entropy=3.0, proto_dispersion=1.0, uncertainty_bce=2.0)
     total = total_loss(output, labels, weights)
     plain = cross_entropy(output.probs, labels)
@@ -405,7 +396,7 @@ def test_total_loss_adds_weighted_terms():
     rng = np.random.default_rng(10)
     logits = constant(rng.standard_normal((9, 3)) * 2.0)
     labels = rng.integers(0, 3, 9)
-    output = _softmax_output(logits)
+    output = head_output("softmax", logits)
     weights = LossWeights(avuc=0.6, mmce=1.5)
     total = float(total_loss(output, labels, weights).data)
     correct = output.predictions == labels
@@ -421,19 +412,10 @@ def test_total_loss_enn_head_uses_evidential_objective():
     rng = np.random.default_rng(11)
     logits = constant(rng.standard_normal((6, 3)) + 0.5)
     labels = rng.integers(0, 3, 6)
-    dirichlet = evidence_head(logits)
-    conf, unc = uncertainty_of("enn", dirichlet)
-    output = ModelOutput(
-        head="enn",
-        logits=logits,
-        probs=dirichlet.prob,
-        confidence=conf,
-        uncertainty=unc,
-        dirichlet=dirichlet,
-    )
+    output = head_output("enn", logits)
     weights = LossWeights(evidential_kl=2.0)
     total = total_loss(output, labels, weights)
-    plain = evidential_loss(dirichlet, labels, kl_weight=2.0)
+    plain = evidential_loss(output.dirichlet, labels, kl_weight=2.0)
     assert float(total.data) == float(plain.data)
 
 
@@ -441,22 +423,14 @@ def test_total_loss_dm_head_composes_aux_terms():
     rng = np.random.default_rng(12)
     latent = constant(rng.standard_normal((5, 2)))
     protos = constant(rng.standard_normal((3, 2)))
-    logits = dm_logits(latent, protos)
-    probs = softmax(logits)
-    conf, unc = uncertainty_of("dm", logits)
     labels = rng.integers(0, 3, 5)
-    output = ModelOutput(
-        head="dm",
-        logits=logits,
-        probs=probs,
-        confidence=conf,
-        uncertainty=unc,
-        latent=latent,
-        prototypes=protos,
-    )
+    output = head_output("dm", latent, protos)
+    probs = output.probs
     weights = LossWeights(dm_entropy=0.9, proto_dispersion=2.0, uncertainty_bce=4.0)
     total = float(total_loss(output, labels, weights).data)
-    entropy, dispersion, bce = ldu_aux_losses(latent, protos, probs, unc, labels)
+    entropy, dispersion, bce = ldu_aux_losses(
+        latent, protos, probs, output.uncertainty, labels
+    )
     expect = (
         float(cross_entropy(probs, labels).data)
         + 0.9 * float(entropy.data)

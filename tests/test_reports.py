@@ -17,9 +17,8 @@ from caliblab.reports import (
     read_report_json,
     reliability_csv_text,
     reliability_svg_text,
+    report_json_text,
     report_payload,
-    write_prediction_log,
-    write_report_json,
 )
 
 from test_metrics import binary_records, random_records
@@ -29,7 +28,7 @@ def test_prediction_log_round_trip_is_metric_exact(tmp_path):
     rng = np.random.default_rng(0)
     records = random_records(rng, 40, 3)
     path = tmp_path / "predictions.csv"
-    write_prediction_log(path, records)
+    commit_artifacts([(path, prediction_log_text(records))])
     loaded = read_prediction_log(path)
     assert len(loaded) == 40
     for orig, back in zip(records, loaded):
@@ -145,7 +144,7 @@ def test_report_json_round_trip(tmp_path):
     records = random_records(rng, 30, 3)
     report = calibration_report(records, n_bins=5)
     path = tmp_path / "report.json"
-    write_report_json(path, report, meta={"seed": 3})
+    commit_artifacts([(path, report_json_text(report, meta={"seed": 3}))])
     loaded = read_report_json(path)
     for key, value in report.metric_dict().items():
         assert abs(loaded[key] - value) < 1e-9

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from caliblab.autodiff import constant, finite_diff_grad, gradients, parameter
+from caliblab.autodiff import constant, finite_diff_grad, gradients, parameter, softmax
 from caliblab.uncertainty import (
     DirichletOutput,
     SpectralNorm,
     dm_logits,
     evidence_head,
+    head_output,
     init_prototypes,
-    spectral_normalize,
-    uncertainty_of,
 )
 
 from oracles import top_singular_value
@@ -89,7 +88,8 @@ def test_normalized_weight_meets_bound_on_random_matrices():
         coeff = float(rng.uniform(0.3, 3.0))
         w = parameter(rng.standard_normal((n_out, n_in)) * rng.uniform(0.1, 4.0))
         state = SpectralNorm(coeff, (n_out, n_in), rng)
-        out = spectral_normalize(w, state)
+        state.refresh(w.data)
+        out = state.normalized(w)
         assert top_singular_value(out.data) <= coeff * 1.001
 
 
@@ -98,14 +98,17 @@ def test_compliant_weight_passes_through_bitwise():
     w = rng.standard_normal((5, 4))
     w = w / (top_singular_value(w) * 4.0)  # sigma = 0.25
     state = SpectralNorm(1.0, (5, 4), rng)
-    out = spectral_normalize(parameter(w), state)
+    state.refresh(w)
+    out = state.normalized(parameter(w))
     assert np.array_equal(out.data, w)
 
 
 def test_zero_matrix_passes_through():
     rng = np.random.default_rng(2)
     state = SpectralNorm(0.5, (3, 3), rng)
-    out = spectral_normalize(parameter(np.zeros((3, 3))), state)
+    w = np.zeros((3, 3))
+    state.refresh(w)
+    out = state.normalized(parameter(w))
     assert np.array_equal(out.data, np.zeros((3, 3)))
 
 
@@ -218,50 +221,59 @@ def test_init_prototypes_shape_and_determinism():
     assert np.array_equal(a, b)
 
 
-# ------------------------------------------------------------ uncertainty_of
+# --------------------------------------------------------------- head_output
 
 
-def test_uncertainty_of_softmax_is_top_prob_and_complement():
-    probs = constant([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]])
-    conf, unc = uncertainty_of("softmax", probs)
-    assert np.array_equal(conf.data, np.array([0.6, 0.6]))
-    assert np.max(np.abs(unc.data - 0.4)) < 1e-15
+def test_head_output_softmax_is_top_prob_and_complement():
+    logits = constant(np.log([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6]]))
+    out = head_output("softmax", logits)
+    expect = softmax(logits).row_max().data
+    assert np.array_equal(out.confidence.data, expect)
+    assert np.array_equal(out.uncertainty.data, 1.0 - expect)
+    assert np.array_equal(out.confidence.data, np.array([0.6, 0.6]))
+    assert np.max(np.abs(out.uncertainty.data - 0.4)) < 1e-15
 
 
-def test_uncertainty_of_enn_uses_dirichlet_mass():
-    out = evidence_head(constant([[9.0, 0.0]]))
-    conf, unc = uncertainty_of("enn", out)
-    assert abs(conf.data[0] - 10.0 / 11.0) < 1e-15
-    assert abs(unc.data[0] - 2.0 / 11.0) < 1e-15
+def test_head_output_enn_uses_dirichlet_mass():
+    out = head_output("enn", constant([[9.0, 0.0]]))
+    assert abs(out.confidence.data[0] - 10.0 / 11.0) < 1e-15
+    assert abs(out.uncertainty.data[0] - 2.0 / 11.0) < 1e-15
+    assert np.array_equal(out.uncertainty.data, out.dirichlet.uncertainty.data)
 
 
-def test_uncertainty_of_enn_requires_dirichlet_output():
-    with pytest.raises(TypeError):
-        uncertainty_of("enn", constant([[0.5, 0.5]]))
+def test_head_output_enn_zero_evidence_tie_predicts_class_0():
+    # zero evidence gives exactly uniform [0.5, 0.5] rows; argmax ties go to
+    # the lowest class index
+    out = head_output("enn", constant(np.zeros((5, 2))))
+    assert np.array_equal(out.probs.data, np.full((5, 2), 0.5))
+    assert np.array_equal(out.predictions, np.zeros(5, dtype=int))
 
 
-def test_uncertainty_of_dm_scores_softmax_of_distances():
-    logits = constant([[0.0, -5.0]])
-    conf, unc = uncertainty_of("dm", logits)
+def test_head_output_dm_scores_softmax_of_distances():
+    # the latent sits on prototype 0 and at distance 5 from prototype 1
+    latent = constant([[0.0, 0.0]])
+    protos = constant([[0.0, 0.0], [3.0, 4.0]])
+    out = head_output("dm", latent, protos)
+    assert np.array_equal(out.logits.data, np.array([[0.0, -5.0]]))
     expect = 1.0 / (1.0 + np.exp(-5.0))
-    assert abs(conf.data[0] - expect) < 1e-12
-    assert abs(unc.data[0] - (1.0 - expect)) < 1e-12
+    assert abs(out.confidence.data[0] - expect) < 1e-12
+    assert abs(out.uncertainty.data[0] - (1.0 - expect)) < 1e-12
+    assert out.latent is latent and out.prototypes is protos
 
 
-def test_uncertainty_of_unknown_head_raises():
+def test_head_output_unknown_head_raises():
     with pytest.raises(ValueError):
-        uncertainty_of("mystery", constant([[1.0]]))
+        head_output("mystery", constant([[1.0]]))
 
 
-def test_uncertainty_of_confidence_bounds():
+def test_head_output_confidence_bounds():
     rng = np.random.default_rng(10)
-    logits = rng.standard_normal((20, 4))
-    from caliblab.autodiff import softmax
-
-    conf, unc = uncertainty_of("softmax", softmax(constant(logits)))
-    assert np.all(conf.data >= 0.25 - 1e-12)
-    assert np.all(conf.data <= 1.0)
-    assert np.max(np.abs(conf.data + unc.data - 1.0)) < 1e-12
+    logits = constant(rng.standard_normal((20, 4)))
+    out = head_output("softmax", logits)
+    assert np.array_equal(out.confidence.data, softmax(logits).row_max().data)
+    assert np.all(out.confidence.data >= 0.25 - 1e-12)
+    assert np.all(out.confidence.data <= 1.0)
+    assert np.max(np.abs(out.confidence.data + out.uncertainty.data - 1.0)) < 1e-12
 
 
 def test_dirichlet_output_n_classes():
