@@ -5,10 +5,22 @@ remembers its parents and a closure computing the vector-Jacobian products.
 ``backward`` walks the graph once in reverse topological order, so gradients
 for a fixed graph are bitwise reproducible. All values are 64-bit floats and
 are never silently downcast.
+
+A training step is dominated by per-node bookkeeping, not arithmetic, so
+the chains that every step builds are single nodes with hand-written
+backward rules: ``softmax``, ``bias_relu`` (a dense layer's bias add and
+relu) and ``sq_dist`` here; cross-entropy, the evidential data term, the
+Dirichlet KL, AvUC, the MMCE sum and the three LDU terms in ``losses``; the
+spectral-norm rescaling in ``uncertainty``. Each rule repeats the arithmetic
+of the primitive-op composition it replaces in the same order, including
+the order in which gradients from several uses of one value are added, so
+training gives the same bits as the composition would. Those modules build
+their nodes with ``Tensor._from_op``.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +38,16 @@ def _as_array(value) -> Array:
     return np.asarray(value, dtype=np.float64)
 
 
+def _kept_shape(shape: tuple[int, ...], axis) -> tuple[int, ...]:
+    """`shape` with the summed `axis` (an int or a tuple) kept as ones."""
+    axes = {ax % len(shape) for ax in (axis if isinstance(axis, tuple) else (axis,))}
+    return tuple(1 if i in axes else n for i, n in enumerate(shape))
+
+
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Sum `grad` over the axes numpy broadcasting introduced for `shape`."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -44,7 +64,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = _as_array(data)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("tensor values must be finite")
         self.data = arr
         self.grad: Array | None = None
@@ -62,12 +82,17 @@ class Tensor:
         vjp: Callable[[Array], tuple[Array | None, ...]],
         op: str,
     ) -> "Tensor":
+        requires_grad = False
+        for p in parents:
+            if p.requires_grad:
+                requires_grad = True
+                break
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = requires_grad
         out.op = op
-        if out.requires_grad:
+        if requires_grad:
             out._parents = parents
             out._vjp = vjp
         else:
@@ -208,12 +233,15 @@ class Tensor:
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
         data = a.data.sum(axis=axis, keepdims=keepdims)
+        # The shape of `g` with the summed axes kept, to broadcast over them.
+        kept = data.shape
+        if axis is not None and not keepdims:
+            kept = _kept_shape(a.data.shape, axis)
 
         def vjp(g: Array):
-            if axis is None:
-                return (np.broadcast_to(g, a.data.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, a.data.shape).copy(),)
+            out = np.empty(a.data.shape)
+            out[...] = g.reshape(kept)
+            return (out,)
 
         return Tensor._from_op(data, (a,), vjp, "sum")
 
@@ -223,7 +251,9 @@ class Tensor:
         data = np.asarray(a.data.mean())
 
         def vjp(g: Array):
-            return (np.broadcast_to(g / n, a.data.shape).copy(),)
+            out = np.empty(a.data.shape)
+            out[...] = g / n
+            return (out,)
 
         return Tensor._from_op(data, (a,), vjp, "mean")
 
@@ -353,27 +383,32 @@ class Tensor:
                 if g is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += g
+                    # A private copy: `g` may be the child's own gradient or
+                    # be handed to another parent as well.
+                    parent.grad = np.array(g)
+                else:
+                    parent.grad += g
 
 
 def _topological_order(root: Tensor) -> list[Tensor]:
-    # Iterative DFS; recursion would overflow on long op chains.
+    # Iterative DFS; recursion would overflow on long op chains. A node is
+    # pushed bare to be expanded and as a 1-tuple to be emitted after its
+    # parents.
     order: list[Tensor] = []
-    seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    seen: set[Tensor] = set()
+    stack: list = [root]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node = stack.pop()
+        if type(node) is tuple:
+            order.append(node[0])
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
+        seen.add(node)
+        stack.append((node,))
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in seen:
-                stack.append((parent, False))
+            if parent.requires_grad and parent not in seen:
+                stack.append(parent)
     return order
 
 
@@ -383,6 +418,12 @@ def _topological_order(root: Tensor) -> list[Tensor]:
 def as_tensor(value) -> Tensor:
     if isinstance(value, Tensor):
         return value
+    if type(value) is float:
+        # Python-float constants (the 1.0 in `1.0 - conf`) skip the array
+        # finiteness scan.
+        if not math.isfinite(value):
+            raise ValueError("tensor values must be finite")
+        return Tensor._from_op(np.array(value), (), None, "leaf")
     return Tensor(value)
 
 
@@ -396,17 +437,70 @@ def constant(data) -> Tensor:
 
 
 def softmax(logits: Tensor) -> Tensor:
-    """Row-wise softmax with max subtraction for overflow safety.
+    """Row-wise softmax with max subtraction for overflow safety, one node.
 
     The subtracted row maximum is treated as a constant; softmax is shift
-    invariant so the gradient is unchanged.
+    invariant so the gradient is unchanged. The backward rule repeats, in
+    the same order, the arithmetic of the composition
+    ``z = exp(logits - max)``, ``z / z.sum(1)``.
     """
     logits = as_tensor(logits)
     if logits.data.ndim != 2:
         raise ValueError("softmax expects a 2-D tensor of row logits")
-    shift = constant(np.max(logits.data, axis=1, keepdims=True))
-    z = (logits - shift).exp()
-    return z / z.sum(axis=1, keepdims=True)
+    z = np.exp(logits.data - np.max(logits.data, axis=1, keepdims=True))
+    s = z.sum(axis=1, keepdims=True)
+
+    def vjp(g: Array):
+        gz = g / s + (-g * z / (s * s)).sum(axis=1, keepdims=True)
+        return (gz * z,)
+
+    return Tensor._from_op(z / s, (logits,), vjp, "softmax")
+
+
+def bias_relu(pre: Tensor, bias: Tensor) -> Tensor:
+    """``relu(pre + bias)`` for a 2-D batch and a 1-D bias, one node.
+
+    The backward rule is the relu mask followed by the broadcast add's
+    split: the batch gradient as is, the bias gradient summed over rows.
+    """
+    a, b = as_tensor(pre), as_tensor(bias)
+    if a.data.ndim != 2 or b.data.shape != a.data.shape[1:]:
+        raise ValueError(
+            f"bias_relu expects a 2-D batch and a matching 1-D bias, got "
+            f"{a.data.shape} and {b.data.shape}"
+        )
+    z = a.data + b.data
+    mask = z > 0.0
+
+    def vjp(g: Array):
+        gz = g * mask
+        return gz, gz.sum(axis=0)
+
+    return Tensor._from_op(z * mask, (a, b), vjp, "bias_relu")
+
+
+def sq_dist(a: Tensor, b: Tensor) -> Tensor:
+    """Squared euclidean distances between the rows of `a` and of `b`, one node.
+
+    Row i, column j holds ||a_i - b_j||^2. The backward rule repeats the
+    arithmetic of the composition ``diff = a[:, None] - b[None]``,
+    ``(diff * diff).sum(2)``.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ValueError("sq_dist expects 2-D row arrays")
+    if a.data.shape[1] != b.data.shape[1]:
+        raise ValueError(
+            f"sq_dist width mismatch: {a.data.shape[1]} != {b.data.shape[1]}"
+        )
+    diff = a.data[:, None, :] - b.data[None, :, :]
+
+    def vjp(g: Array):
+        g_diff = g[:, :, None] * diff
+        g_diff = g_diff + g_diff
+        return g_diff.sum(axis=1), (-g_diff).sum(axis=0)
+
+    return Tensor._from_op((diff * diff).sum(axis=2), (a, b), vjp, "sq_dist")
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:

@@ -4,6 +4,14 @@ All losses are scalar tape tensors, means over the batch where applicable,
 and differentiable with respect to every model parameter on their path.
 Correctness bits (is the argmax prediction right) are treated as constants:
 they come from a locally constant argmax, so they carry no gradient.
+
+Each loss term is computed in one tape node with a hand-written backward
+rule; only masking, means, weights and MMCE's clamp and square root stay
+primitive ops. The rule repeats, in the same order, the arithmetic of the
+term written with primitive tape ops, including the order in which the
+gradients of a value's several uses are added, so gradients carry the same
+bits as that composition. ``tests/test_fused_ops.py`` keeps the
+compositions as the reference.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special as _sp
 
-from .autodiff import Array, Tensor, as_tensor, constant
+from .autodiff import Array, Tensor, as_tensor, constant, sq_dist
 from .config import LossWeights
 from .uncertainty import DirichletOutput, ModelOutput
 
@@ -40,12 +48,25 @@ def _check_simplex(probs: Array) -> None:
 
 
 def cross_entropy(probs: Tensor, labels: Array) -> Tensor:
-    """Mean negative log-probability of the true class, floor-clamped."""
+    """Mean negative log-probability of the true class, floor-clamped.
+
+    Rows whose true-class probability sits at or below the floor get no
+    gradient.
+    """
     probs = as_tensor(probs)
     _check_simplex(probs.data)
     mask = one_hot(labels, probs.data.shape[1])
-    p_true = (probs * constant(mask)).sum(axis=1)
-    return -(p_true.clamp_min(_LOG_FLOOR).log().mean())
+    p_true = np.maximum((probs.data * mask).sum(axis=1), _LOG_FLOOR)
+    keep = p_true > _LOG_FLOOR
+    n = float(p_true.size)
+
+    def vjp(g: Array):
+        rows = -g / n / p_true * keep
+        return (rows[:, None] * mask,)
+
+    return Tensor._from_op(
+        -np.asarray(np.log(p_true).mean()), (probs,), vjp, "cross_entropy"
+    )
 
 
 def dirichlet_kl_uniform(alpha: Tensor) -> Tensor:
@@ -60,11 +81,28 @@ def dirichlet_kl_uniform(alpha: Tensor) -> Tensor:
         raise ValueError("alpha must be a 2-D array of Dirichlet rows")
     if alpha.data.min() <= 0:
         raise ValueError("Dirichlet parameters must be positive")
-    m = alpha.data.shape[1]
-    total = alpha.sum(axis=1, keepdims=True)
-    log_norm = total.reshape((-1,)).gammaln() - alpha.gammaln().sum(axis=1)
-    geometric = ((alpha - 1.0) * (alpha.digamma() - total.digamma())).sum(axis=1)
-    return log_norm - float(_sp.gammaln(m)) + geometric
+    a = alpha.data
+    m = a.shape[1]
+    total = a.sum(axis=1, keepdims=True)
+    log_norm = _sp.gammaln(total.reshape((-1,))) - _sp.gammaln(a).sum(axis=1)
+    excess = a - 1.0
+    psi_gap = _sp.psi(a) - _sp.psi(total)
+    value = log_norm - float(_sp.gammaln(m)) + (excess * psi_gap).sum(axis=1)
+
+    def vjp(g: Array):
+        g_rows = g[:, None]
+        g_total = (g * _sp.psi(total.reshape((-1,)))).reshape(total.shape)
+        g_psi_total = (-(g_rows * excess)).sum(axis=1, keepdims=True)
+        g_total = g_total + g_psi_total * _sp.polygamma(1, total)
+        # alpha's four uses, added in the composition's order: ln G(a),
+        # (a - 1), psi(a), then S.
+        g_alpha = -g_rows * _sp.psi(a)
+        g_alpha += g_rows * psi_gap
+        g_alpha += g_rows * excess * _sp.polygamma(1, a)
+        g_alpha += g_total
+        return (g_alpha,)
+
+    return Tensor._from_op(value, (alpha,), vjp, "dirichlet_kl")
 
 
 def evidential_loss(
@@ -78,14 +116,28 @@ def evidential_loss(
     """
     if kl_weight < 0:
         raise ValueError("kl_weight must be non-negative")
-    alpha = dirichlet.alpha
-    mask = constant(one_hot(labels, alpha.data.shape[1]))
-    alpha_true = (alpha * mask).sum(axis=1)
-    strength = dirichlet.strength.reshape((-1,))
-    data_term = (strength.digamma() - alpha_true.digamma()).mean()
+    alpha, strength = dirichlet.alpha, dirichlet.strength
+    mask = one_hot(labels, alpha.data.shape[1])
+    alpha_true = (alpha.data * mask).sum(axis=1)
+    s_rows = strength.data.reshape((-1,))
+    n = float(s_rows.size)
+
+    def vjp(g: Array):
+        g_rows = g / n
+        g_strength = (g_rows * _sp.polygamma(1, s_rows)).reshape(strength.data.shape)
+        g_alpha = (-g_rows * _sp.polygamma(1, alpha_true))[:, None] * mask
+        return g_alpha, g_strength
+
+    data_term = Tensor._from_op(
+        np.asarray((_sp.psi(s_rows) - _sp.psi(alpha_true)).mean()),
+        (alpha, strength),
+        vjp,
+        "evidential_data",
+    )
     if kl_weight == 0.0:
         return data_term
-    alpha_tilde = mask + (1.0 - mask) * alpha
+    mask_t = constant(mask)
+    alpha_tilde = mask_t + (1.0 - mask_t) * alpha
     return data_term + kl_weight * dirichlet_kl_uniform(alpha_tilde).mean()
 
 
@@ -120,17 +172,33 @@ def avuc_loss(
     if acc.shape != r.data.shape:
         raise ValueError("correctness bits must align with confidence")
     inv = 1.0 / sharpness
-    certain = ((r - conf_threshold) * inv).sigmoid() * (
-        (unc_threshold - u) * inv
-    ).sigmoid()
-    acc_t = constant(acc)
-    inacc_t = constant(1.0 - acc)
-    n_ac = (acc_t * certain).sum()
-    n_au = (acc_t * (1.0 - certain)).sum()
-    n_ic = (inacc_t * certain).sum()
-    n_iu = (inacc_t * (1.0 - certain)).sum()
-    ratio = (n_au + n_ic) / (n_ac + n_iu + _COUNT_EPS)
-    return (1.0 + ratio).log()
+    s_conf = _sp.expit((r.data - conf_threshold) * inv)
+    s_unc = _sp.expit((unc_threshold - u.data) * inv)
+    certain = s_conf * s_unc
+    inacc = 1.0 - acc
+    n_ac = (acc * certain).sum()
+    n_au = (acc * (1.0 - certain)).sum()
+    n_ic = (inacc * certain).sum()
+    n_iu = (inacc * (1.0 - certain)).sum()
+    num = n_au + n_ic
+    den = n_ac + n_iu + _COUNT_EPS
+    ratio = num / den
+
+    def vjp(g: Array):
+        g_ratio = g / (ratio + 1.0)
+        g_num = g_ratio / den
+        g_den = -g_ratio * num / (den * den)
+        # The four counts reach `certain` in the composition's order:
+        # n_au, n_ic, n_ac, n_iu.
+        g_certain = -(g_num * acc)
+        g_certain += g_num * inacc
+        g_certain += g_den * acc
+        g_certain += -(g_den * inacc)
+        g_conf = g_certain * s_unc * s_conf * (1.0 - s_conf) * inv
+        g_unc = -(g_certain * s_conf * s_unc * (1.0 - s_unc) * inv)
+        return g_conf, g_unc
+
+    return Tensor._from_op(np.log(ratio + 1.0), (r, u), vjp, "avuc")
 
 
 def mmce_loss(
@@ -160,25 +228,57 @@ def mmce_loss(
     if n < 1:
         raise ValueError("mmce needs a non-empty batch")
     m = int(flags.sum())
-    col = r.reshape((n, 1))
-    row = r.reshape((1, n))
-    kernel = (-((col - row).abs() * (1.0 / kernel_width))).exp()
+    col = r.data.reshape((n, 1))
+    row = r.data.reshape((1, n))
+    diff = col - row
+    inv_width = 1.0 / kernel_width
+    kernel = np.exp(-(np.abs(diff) * inv_width))
     cor = flags.astype(np.float64)
     inc = 1.0 - cor
-
-    total: Tensor | None = None
+    # Each present sum as (pair weights, left factor, right factor, scale).
+    # Either one sum is present or all three are, and then the third is
+    # subtracted.
+    terms = []
     if n - m > 0:
-        pair = constant(np.outer(inc, inc))
-        term = (kernel * (col * row) * pair).sum() * (1.0 / (n - m) ** 2)
-        total = term
+        terms.append((np.outer(inc, inc), col, row, 1.0 / (n - m) ** 2))
     if m > 0:
-        pair = constant(np.outer(cor, cor))
-        term = (kernel * ((1.0 - col) * (1.0 - row)) * pair).sum() * (1.0 / m**2)
-        total = term if total is None else total + term
+        terms.append((np.outer(cor, cor), 1.0 - col, 1.0 - row, 1.0 / m**2))
     if m > 0 and n - m > 0:
-        pair = constant(np.outer(cor, inc))
-        term = (kernel * ((1.0 - col) * row) * pair).sum() * (2.0 / ((n - m) * m))
-        total = total - term
+        terms.append((np.outer(cor, inc), 1.0 - col, row, 2.0 / ((n - m) * m)))
+    sums = [
+        (kernel * (left * right) * pair).sum() * scale
+        for pair, left, right, scale in terms
+    ]
+    total = sums[0] if len(sums) == 1 else sums[0] + sums[1] - sums[2]
+
+    def vjp(g: Array):
+        # The composition adds up the kernel's gradient term by term, and
+        # the column's (row's) as: term 1, term 2, the kernel's |col - row|,
+        # term 3. The same order gives the same bits.
+        g_kernel = None
+        col_parts: list[Array] = []
+        row_parts: list[Array] = []
+        for (pair, left, right, scale), g_term in zip(terms, (g, g, -g)):
+            g_pair = g_term * scale * pair
+            g_k = g_pair * (left * right)
+            g_kernel = g_k if g_kernel is None else g_kernel + g_k
+            g_prod = g_pair * kernel
+            g_left = (g_prod * right).sum(axis=1, keepdims=True)
+            g_right = (g_prod * left).sum(axis=0, keepdims=True)
+            # A factor that is 1 - col (1 - row) passes its gradient negated.
+            col_parts.append(g_left if left is col else -g_left)
+            row_parts.append(g_right if right is row else -g_right)
+        g_diff = -(g_kernel * kernel) * inv_width * np.sign(diff)
+        col_parts.insert(2, g_diff.sum(axis=1, keepdims=True))
+        row_parts.insert(2, (-g_diff).sum(axis=0, keepdims=True))
+        g_col, g_row = col_parts[0], row_parts[0]
+        for col_part, row_part in zip(col_parts[1:], row_parts[1:]):
+            g_col = g_col + col_part
+            g_row = g_row + row_part
+        return g_col.reshape(n), g_row.reshape(n)
+
+    # r enters twice, as the column and as the row of the pairwise kernel.
+    total = Tensor._from_op(total, (r, r), vjp, "mmce")
     return total.clamp_min(0.0).sqrt()
 
 
@@ -206,23 +306,64 @@ def ldu_aux_losses(
         raise ValueError("latent width must match prototype width")
     _check_simplex(probs.data)
 
-    entropy = -((probs * probs.clamp_min(_LOG_FLOOR).log()).sum(axis=1)).mean()
-
-    m, d = prototypes.data.shape
-    if m < 2:
-        dispersion = constant(0.0)
-    else:
-        diff = prototypes.reshape((m, 1, d)) - prototypes.reshape((1, m, d))
-        sq_dist = (diff * diff).sum(axis=2)
-        off_diagonal = constant(1.0 - np.eye(m))
-        dispersion = ((-sq_dist).exp() * off_diagonal).sum() * (1.0 / (m * (m - 1)))
-
     labels = np.asarray(labels)
     errors = (np.argmax(probs.data, axis=1) != labels).astype(np.float64)
-    u = predicted_uncertainty.clamp_min(_BCE_CLAMP).clamp_max(1.0 - _BCE_CLAMP)
-    err_t = constant(errors)
-    bce = -((err_t * u.log() + (1.0 - err_t) * (1.0 - u).log()).mean())
-    return entropy, dispersion, bce
+    return (
+        _mean_entropy(probs),
+        _dispersion(prototypes),
+        _uncertainty_bce(as_tensor(predicted_uncertainty), errors),
+    )
+
+
+def _mean_entropy(probs: Tensor) -> Tensor:
+    """``-(probs * log(clamp_min(probs, floor))).sum(1).mean()``."""
+    p = probs.data
+    clamped = np.maximum(p, _LOG_FLOOR)
+    log_p = np.log(clamped)
+    rows = (p * log_p).sum(axis=1)
+
+    def vjp(g: Array):
+        g_rows = -g / float(rows.size)
+        # probs enters twice: as the factor, then through the log.
+        return g_rows * log_p, g_rows * p / clamped * (p > _LOG_FLOOR)
+
+    return Tensor._from_op(-np.asarray(rows.mean()), (probs, probs), vjp, "entropy")
+
+
+def _dispersion(prototypes: Tensor) -> Tensor:
+    """``(exp(-sq_dist(P, P)) * off_diagonal).sum() / (m (m - 1))``, or a
+    constant 0 for fewer than two prototypes."""
+    m = prototypes.data.shape[0]
+    if m < 2:
+        return constant(0.0)
+    sq = sq_dist(prototypes, prototypes)
+    off_diagonal = 1.0 - np.eye(m)
+    scale = 1.0 / (m * (m - 1))
+    kernel = np.exp(-sq.data)
+
+    def vjp(g: Array):
+        return (-(g * scale * off_diagonal * kernel),)
+
+    return Tensor._from_op(
+        (kernel * off_diagonal).sum() * scale, (sq,), vjp, "dispersion"
+    )
+
+
+def _uncertainty_bce(u: Tensor, errors: Array) -> Tensor:
+    """``-(e * log(c) + (1 - e) * log(1 - c)).mean()``, where c is `u`
+    clamped to [1e-7, 1 - 1e-7] and e the error indicator."""
+    lo = np.maximum(u.data, _BCE_CLAMP)
+    c = np.minimum(lo, 1.0 - _BCE_CLAMP)
+    keep = (u.data > _BCE_CLAMP) * (lo < 1.0 - _BCE_CLAMP)
+    hits = 1.0 - errors
+    terms = errors * np.log(c) + hits * np.log(1.0 - c)
+
+    def vjp(g: Array):
+        g_terms = -g / float(terms.size)
+        g_c = g_terms * errors / c + -(g_terms * hits / (1.0 - c))
+        return (g_c * keep,)
+
+    return Tensor._from_op(-np.asarray(terms.mean()), (u,), vjp, "uncertainty_bce")
 
 
 def total_loss(output: ModelOutput, labels: Array, weights: LossWeights) -> Tensor:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import Array, Tensor, parameter
+from .autodiff import Array, Tensor, bias_relu, parameter
 
 _ACTIVATIONS = ("relu", "identity")
 
@@ -27,10 +27,10 @@ class DenseLayer:
     def __call__(self, x: Tensor, weight: Tensor | None = None) -> Tensor:
         """Apply the layer; `weight` substitutes a transformed weight tensor."""
         w = self.weight if weight is None else weight
-        out = x @ w.T + self.bias
+        out = x @ w.T
         if self.activation == "relu":
-            out = out.relu()
-        return out
+            return bias_relu(out, self.bias)
+        return out + self.bias
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -53,7 +53,7 @@ def _check_grads(params: Sequence[Tensor], grads: Sequence[Array]) -> None:
     for i, (p, g) in enumerate(zip(params, grads)):
         if g.shape != p.data.shape:
             raise ValueError(f"gradient {i} shape {g.shape} != param {p.data.shape}")
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter {i}")
 
 

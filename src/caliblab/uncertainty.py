@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Array, Tensor, as_tensor, constant, softmax
+from .autodiff import Array, Tensor, as_tensor, softmax, sq_dist
 from .config import HEAD_KINDS
 
 
@@ -138,15 +138,26 @@ class SpectralNorm:
         """Weight divided by max(1, sigma/coeff), sigma on the tape.
 
         Sigma is the bilinear form u^T W v with the persistent vectors held
-        constant, so the rescaling is differentiated through W.
+        constant, so the rescaling is differentiated through W. One tape
+        node; its backward rule repeats the arithmetic of the composition
+        ``weight / clamp_min(sigma / coeff, 1)``.
         """
         if not self._initialized:
             self.refresh(weight.data)
-        u_row = constant(self.u.reshape(1, -1))
-        v_col = constant(self.v.reshape(-1, 1))
-        sigma = (u_row @ weight @ v_col).reshape(())
-        scale = (sigma * (1.0 / self.coeff)).clamp_min(1.0)
-        return weight / scale
+        w = weight.data
+        u_row = self.u.reshape(1, -1)
+        v_col = self.v.reshape(-1, 1)
+        inv_coeff = 1.0 / self.coeff
+        ratio = (u_row @ w @ v_col).reshape(()) * inv_coeff
+        scale = np.maximum(ratio, 1.0)
+
+        def vjp(g: Array):
+            g_scale = (-g * w / (scale * scale)).sum(axis=(0, 1))
+            g_sigma = g_scale * (ratio > 1.0) * inv_coeff
+            g_uw = g_sigma.reshape((1, 1)) @ v_col.T
+            return (g / scale + u_row.T @ g_uw,)
+
+        return Tensor._from_op(w / scale, (weight,), vjp, "sn_normalized")
 
 
 def init_prototypes(
@@ -163,6 +174,8 @@ def dm_logits(latent: Tensor, prototypes: Tensor) -> Tensor:
     logit is negative, so the softmax over these logits peaks at the nearest
     prototype.
     """
+    if prototypes is None:
+        raise ValueError("the dm head needs prototypes")
     latent = as_tensor(latent)
     prototypes = as_tensor(prototypes)
     if latent.data.ndim != 2 or prototypes.data.ndim != 2:
@@ -172,11 +185,7 @@ def dm_logits(latent: Tensor, prototypes: Tensor) -> Tensor:
             f"latent width {latent.data.shape[1]} != prototype width "
             f"{prototypes.data.shape[1]}"
         )
-    n, d = latent.data.shape
-    m = prototypes.data.shape[0]
-    diff = latent.reshape((n, 1, d)) - prototypes.reshape((1, m, d))
-    sq_dist = (diff * diff).sum(axis=2)
-    return -(sq_dist.sqrt())
+    return -(sq_dist(latent, prototypes).sqrt())
 
 
 @dataclass

@@ -226,3 +226,39 @@ def test_matmul_shape_mismatch_raises():
     b = constant(np.ones((4, 2)))
     with pytest.raises(ValueError):
         a @ b
+
+
+# ------------------------------------------------- backward accumulation
+
+
+def test_self_add_gradient_is_two():
+    x = parameter([1.5, -2.0])
+    (g,) = gradients((x + x).sum(), [x])
+    assert np.array_equal(g, np.array([2.0, 2.0]))
+
+
+def test_sibling_leaves_get_independent_gradient_arrays():
+    a = parameter([1.0, 2.0])
+    b = parameter([3.0, 4.0])
+    ga, gb = gradients((a + b).sum(), [a, b])
+    ga += 10.0
+    assert np.array_equal(gb, np.array([1.0, 1.0]))
+    assert a.grad is not b.grad
+
+
+def test_node_with_three_consumers_sums_their_gradients():
+    x = parameter([2.0, -3.0])
+    h = x * 3.0
+    loss = (h * h + h.exp() + 4.0 * h).sum()
+    (g,) = gradients(loss, [x])
+    # d/dh = 2h + e^h + 4, times dh/dx = 3
+    hv = np.array([6.0, -9.0])
+    assert np.allclose(g, 3.0 * (2.0 * hv + np.exp(hv) + 4.0), rtol=1e-15)
+
+
+def test_nonfinite_python_float_constants_rejected():
+    x = parameter([1.0])
+    with pytest.raises(ValueError, match="finite"):
+        x * float("nan")
+    with pytest.raises(ValueError, match="finite"):
+        x + float("inf")

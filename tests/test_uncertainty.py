@@ -199,6 +199,11 @@ def test_dm_logits_width_mismatch_raises():
         dm_logits(constant(np.ones((2, 3))), constant(np.ones((4, 2))))
 
 
+def test_dm_head_without_prototypes_names_the_problem():
+    with pytest.raises(ValueError, match="dm head needs prototypes"):
+        head_output("dm", constant(np.ones((2, 3))))
+
+
 def test_dm_logits_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     latent = parameter(rng.standard_normal((3, 2)))
