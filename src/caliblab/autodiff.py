@@ -16,6 +16,9 @@ of the primitive-op composition it replaces in the same order, including
 the order in which gradients from several uses of one value are added, so
 training gives the same bits as the composition would. Those modules build
 their nodes with ``Tensor._from_op``.
+
+Importing this module loads numpy only: ``sigmoid``, ``digamma`` and
+``gammaln`` import ``scipy.special`` when first called.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 Array = np.ndarray
 
@@ -179,6 +181,11 @@ class Tensor:
         return Tensor._from_op(-a.data, (a,), vjp, "neg")
 
     def __pow__(self, exponent: float) -> "Tensor":
+        """Reference primitive: ``x ** c`` for a scalar `c`.
+
+        Kept for the gradient tests in ``tests/test_autodiff.py``; no
+        ``src/`` path calls it.
+        """
         if not np.isscalar(exponent):
             raise TypeError("only scalar exponents are supported")
         a = self
@@ -304,6 +311,13 @@ class Tensor:
         return Tensor._from_op(a.data * mask, (a,), vjp, "relu")
 
     def sigmoid(self) -> "Tensor":
+        """Reference primitive: the logistic function.
+
+        ``tests/test_fused_ops.py`` builds AvUC's composition from it to
+        check the fused VJP; no ``src/`` path calls it, demo 01 does.
+        """
+        from scipy import special as _sp
+
         a = self
         data = _sp.expit(a.data)
 
@@ -313,6 +327,14 @@ class Tensor:
         return Tensor._from_op(data, (a,), vjp, "sigmoid")
 
     def digamma(self) -> "Tensor":
+        """Reference primitive: psi, the digamma function.
+
+        ``tests/test_fused_ops.py`` builds the evidential data term and the
+        Dirichlet KL from it to check their fused VJPs; no ``src/`` path
+        calls it.
+        """
+        from scipy import special as _sp
+
         a = self
         data = _sp.psi(a.data)
 
@@ -322,6 +344,13 @@ class Tensor:
         return Tensor._from_op(data, (a,), vjp, "digamma")
 
     def gammaln(self) -> "Tensor":
+        """Reference primitive: the log of the gamma function.
+
+        ``tests/test_fused_ops.py`` builds the Dirichlet KL from it to check
+        the fused VJP; no ``src/`` path calls it.
+        """
+        from scipy import special as _sp
+
         a = self
         data = _sp.gammaln(a.data)
 
@@ -340,6 +369,11 @@ class Tensor:
         return Tensor._from_op(np.maximum(a.data, lo), (a,), vjp, "clamp_min")
 
     def clamp_max(self, hi: float) -> "Tensor":
+        """Reference primitive: ``min(x, hi)``; gradient only below `hi`.
+
+        ``tests/test_fused_ops.py`` builds the LDU BCE clamp from it to check
+        the fused VJP; no ``src/`` path calls it.
+        """
         a = self
         mask = a.data < hi
 

@@ -12,12 +12,15 @@ term written with primitive tape ops, including the order in which the
 gradients of a value's several uses are added, so gradients carry the same
 bits as that composition. ``tests/test_fused_ops.py`` keeps the
 compositions as the reference.
+
+Only the evidential, Dirichlet KL and AvUC terms need ``scipy.special``; they
+import it when called, so a process that never trains with them never loads
+scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import special as _sp
 
 from .autodiff import Array, Tensor, as_tensor, constant, sq_dist
 from .config import LossWeights
@@ -81,6 +84,8 @@ def dirichlet_kl_uniform(alpha: Tensor) -> Tensor:
         raise ValueError("alpha must be a 2-D array of Dirichlet rows")
     if alpha.data.min() <= 0:
         raise ValueError("Dirichlet parameters must be positive")
+    from scipy import special as _sp
+
     a = alpha.data
     m = a.shape[1]
     total = a.sum(axis=1, keepdims=True)
@@ -116,6 +121,8 @@ def evidential_loss(
     """
     if kl_weight < 0:
         raise ValueError("kl_weight must be non-negative")
+    from scipy import special as _sp
+
     alpha, strength = dirichlet.alpha, dirichlet.strength
     mask = one_hot(labels, alpha.data.shape[1])
     alpha_true = (alpha.data * mask).sum(axis=1)
@@ -171,6 +178,8 @@ def avuc_loss(
     acc = np.asarray(correct, dtype=np.float64)
     if acc.shape != r.data.shape:
         raise ValueError("correctness bits must align with confidence")
+    from scipy import special as _sp
+
     inv = 1.0 / sharpness
     s_conf = _sp.expit((r.data - conf_threshold) * inv)
     s_unc = _sp.expit((unc_threshold - u.data) * inv)
@@ -283,7 +292,6 @@ def mmce_loss(
 
 
 def ldu_aux_losses(
-    latent: Tensor,
     prototypes: Tensor,
     probs: Tensor,
     predicted_uncertainty: Tensor,
@@ -299,11 +307,8 @@ def ldu_aux_losses(
       uncertainty and the error indicator (1 - correctness), with the
       probability clamped to [1e-7, 1 - 1e-7].
     """
-    latent = as_tensor(latent)
     prototypes = as_tensor(prototypes)
     probs = as_tensor(probs)
-    if latent.data.shape[1] != prototypes.data.shape[1]:
-        raise ValueError("latent width must match prototype width")
     _check_simplex(probs.data)
 
     labels = np.asarray(labels)
@@ -385,11 +390,7 @@ def total_loss(output: ModelOutput, labels: Array, weights: LossWeights) -> Tens
         or weights.uncertainty_bce > 0
     ):
         entropy, dispersion, bce = ldu_aux_losses(
-            output.latent,
-            output.prototypes,
-            output.probs,
-            output.uncertainty,
-            labels,
+            output.prototypes, output.probs, output.uncertainty, labels
         )
         if weights.dm_entropy > 0:
             loss = loss + weights.dm_entropy * entropy

@@ -490,9 +490,8 @@ def ldu_leaves(rng, n, c):
 def test_ldu_terms_are_bitwise_their_compositions(n, c, seed):
     rng = np.random.default_rng(seed)
     prototypes, probs, u = ldu_leaves(rng, n, c)
-    latent = constant(np.zeros((n, 3)))
     labels = rng.integers(0, c, size=n)
-    fused = ldu_aux_losses(latent, prototypes, probs, u, labels)
+    fused = ldu_aux_losses(prototypes, probs, u, labels)
     composed = ldu_composed(prototypes, probs, u, labels)
     leaves = [prototypes, probs, u]
     for i in range(3):
@@ -502,7 +501,7 @@ def test_ldu_terms_are_bitwise_their_compositions(n, c, seed):
     logits = parameter(rng.standard_normal((n, c)))
     for i, leaf in ((0, logits), (1, prototypes), (2, u)):
         assert_matches_finite_differences(
-            lambda: ldu_aux_losses(latent, prototypes, softmax(logits), u, labels)[i],
+            lambda: ldu_aux_losses(prototypes, softmax(logits), u, labels)[i],
             [leaf],
         )
 
@@ -514,8 +513,7 @@ def test_ldu_terms_at_their_clamps_match_compositions():
     probs = parameter([[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]])
     u = parameter([0.0, 1.0, 0.3])
     labels = np.array([0, 0, 1])
-    latent = constant(np.zeros((3, 3)))
-    fused = ldu_aux_losses(latent, prototypes, probs, u, labels)
+    fused = ldu_aux_losses(prototypes, probs, u, labels)
     composed = ldu_composed(prototypes, probs, u, labels)
     assert_same_bits(lambda: fused[0], lambda: composed[0], [probs])
     _, g_u = assert_same_bits(lambda: fused[2], lambda: composed[2], [probs, u])

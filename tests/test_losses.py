@@ -288,30 +288,27 @@ def test_mmce_gradient_matches_finite_differences():
 
 def test_dispersion_is_one_for_identical_prototypes():
     protos = constant([[1.0, 2.0], [1.0, 2.0]])
-    latent = constant([[0.0, 0.0]])
     probs = constant([[0.5, 0.5]])
     unc = constant([0.5])
-    _, dispersion, _ = ldu_aux_losses(latent, protos, probs, unc, np.array([0]))
+    _, dispersion, _ = ldu_aux_losses(protos, probs, unc, np.array([0]))
     assert float(dispersion.data) == 1.0
 
 
 def test_dispersion_zero_with_single_prototype():
-    latent = constant([[0.0]])
     protos = constant([[3.0]])
     probs = constant([[1.0]])
     unc = constant([0.5])
-    _, dispersion, _ = ldu_aux_losses(latent, protos, probs, unc, np.array([0]))
+    _, dispersion, _ = ldu_aux_losses(protos, probs, unc, np.array([0]))
     assert float(dispersion.data) == 0.0
 
 
 def test_dispersion_decays_with_prototype_separation():
-    latent = constant([[0.0, 0.0]])
     probs = constant([[0.5, 0.5]])
     unc = constant([0.5])
     values = []
     for gap in [0.5, 1.0, 3.0]:
         protos = constant([[0.0, 0.0], [gap, 0.0]])
-        _, disp, _ = ldu_aux_losses(latent, protos, probs, unc, np.array([0]))
+        _, disp, _ = ldu_aux_losses(protos, probs, unc, np.array([0]))
         values.append(float(disp.data))
     assert values[0] > values[1] > values[2]
     assert abs(values[1] - np.exp(-1.0)) < 1e-12
@@ -319,31 +316,28 @@ def test_dispersion_decays_with_prototype_separation():
 
 def test_entropy_of_uniform_rows_is_log_class_count():
     probs = constant(np.full((3, 4), 0.25))
-    latent = constant(np.zeros((3, 2)))
     protos = constant(np.zeros((4, 2)))
     unc = constant(np.full(3, 0.5))
-    entropy, _, _ = ldu_aux_losses(latent, protos, probs, unc, np.zeros(3, int))
+    entropy, _, _ = ldu_aux_losses(protos, probs, unc, np.zeros(3, int))
     assert abs(float(entropy.data) - np.log(4.0)) < 1e-12
 
 
 def test_entropy_of_deterministic_rows_is_zero():
     probs = constant([[1.0, 0.0]])
-    latent = constant([[0.0]])
     protos = constant([[0.0], [1.0]])
     unc = constant([0.5])
-    entropy, _, _ = ldu_aux_losses(latent, protos, probs, unc, np.array([0]))
+    entropy, _, _ = ldu_aux_losses(protos, probs, unc, np.array([0]))
     assert float(entropy.data) == 0.0
 
 
 def test_uncertainty_bce_rewards_calibrated_error_prediction():
-    latent = constant([[0.0]])
     protos = constant([[0.0], [1.0]])
     probs = constant([[0.9, 0.1]])
     # correct prediction, tiny predicted uncertainty: near-zero penalty
-    _, _, good = ldu_aux_losses(latent, protos, probs, constant([0.0]), np.array([0]))
+    _, _, good = ldu_aux_losses(protos, probs, constant([0.0]), np.array([0]))
     assert float(good.data) < 1e-6
     # correct prediction but confident-in-error signal: large penalty
-    _, _, bad = ldu_aux_losses(latent, protos, probs, constant([1.0]), np.array([0]))
+    _, _, bad = ldu_aux_losses(protos, probs, constant([1.0]), np.array([0]))
     assert float(bad.data) > 16.0
 
 
@@ -359,7 +353,7 @@ def test_ldu_gradients_match_finite_differences():
         logits = dm_logits(latent, protos)
         probs = softmax(logits)
         unc = 1.0 - probs.row_max()
-        entropy, dispersion, bce = ldu_aux_losses(latent, protos, probs, unc, labels)
+        entropy, dispersion, bce = ldu_aux_losses(protos, probs, unc, labels)
         return entropy + 2.0 * dispersion + 0.5 * bce
 
     grads = gradients(build(), [latent_w, protos])
@@ -428,9 +422,7 @@ def test_total_loss_dm_head_composes_aux_terms():
     probs = output.probs
     weights = LossWeights(dm_entropy=0.9, proto_dispersion=2.0, uncertainty_bce=4.0)
     total = float(total_loss(output, labels, weights).data)
-    entropy, dispersion, bce = ldu_aux_losses(
-        latent, protos, probs, output.uncertainty, labels
-    )
+    entropy, dispersion, bce = ldu_aux_losses(protos, probs, output.uncertainty, labels)
     expect = (
         float(cross_entropy(probs, labels).data)
         + 0.9 * float(entropy.data)
