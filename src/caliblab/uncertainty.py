@@ -198,7 +198,6 @@ class ModelOutput:
     confidence: Tensor
     uncertainty: Tensor
     dirichlet: DirichletOutput | None = None
-    latent: Tensor | None = None
     prototypes: Tensor | None = None
 
     @property
@@ -238,6 +237,5 @@ def head_output(
         confidence=conf,
         uncertainty=1.0 - conf if dirichlet is None else dirichlet.uncertainty,
         dirichlet=dirichlet,
-        latent=features if is_dm else None,
         prototypes=prototypes if is_dm else None,
     )

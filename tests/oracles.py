@@ -191,3 +191,75 @@ def avuc_hard_counts(conf, unc, correct, thr_conf: float, thr_unc: float) -> flo
 
 def top_singular_value(matrix) -> float:
     return float(np.linalg.svd(np.asarray(matrix), compute_uv=False)[0])
+
+
+# -- optimizers (the per-parameter loops the flat-buffer ones replaced) ------------
+
+
+def _check_grads(params, grads) -> None:
+    if len(params) != len(grads):
+        raise ValueError("one gradient per parameter is required")
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient {i} shape {g.shape} != param {p.data.shape}")
+        if not np.isfinite(g).all():
+            raise FloatingPointError(f"non-finite gradient for parameter {i}")
+
+
+class LoopAdam:
+    """Adam with bias-corrected moment estimates, one parameter at a time."""
+
+    def __init__(
+        self,
+        lr: float,
+        beta1: float = 0.9,
+        beta2: float = 0.999,
+        epsilon: float = 1e-8,
+    ):
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        self.lr = lr
+        self.beta1 = beta1
+        self.beta2 = beta2
+        self.epsilon = epsilon
+        self.t = 0
+        self._m = None
+        self._v = None
+
+    def step(self, params, grads) -> None:
+        _check_grads(params, grads)
+        if self._m is None:
+            self._m = [np.zeros_like(p.data) for p in params]
+            self._v = [np.zeros_like(p.data) for p in params]
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
+        for p, g, m, v in zip(params, grads, self._m, self._v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.epsilon)
+
+
+class LoopSGDMomentum:
+    """Heavy-ball update: v <- momentum*v - lr*g; p <- p + v, per parameter."""
+
+    def __init__(self, lr: float, momentum: float = 0.0):
+        if lr <= 0:
+            raise ValueError("learning rate must be positive")
+        if not 0.0 <= momentum < 1.0:
+            raise ValueError("momentum must lie in [0, 1)")
+        self.lr = lr
+        self.momentum = momentum
+        self._v = None
+
+    def step(self, params, grads) -> None:
+        _check_grads(params, grads)
+        if self._v is None:
+            self._v = [np.zeros_like(p.data) for p in params]
+        for p, g, v in zip(params, grads, self._v):
+            v *= self.momentum
+            v -= self.lr * g
+            p.data += v

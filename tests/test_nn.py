@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caliblab.autodiff import constant, gradients, parameter
 from caliblab.nn import Adam, DenseLayer, SGDMomentum, init_dense
+
+from oracles import LoopAdam, LoopSGDMomentum
 
 
 def test_dense_layer_applies_affine_then_relu():
@@ -163,3 +167,145 @@ def test_training_a_dense_stack_reduces_loss():
         loss = loss_tensor()
         opt.step(params, gradients(loss, params))
     assert float(loss_tensor().data) < 0.2 * first
+
+
+OPTIMIZERS = [
+    pytest.param(lambda: Adam(lr=0.1), id="adam"),
+    pytest.param(lambda: SGDMomentum(lr=0.1, momentum=0.5), id="sgd"),
+]
+OPTIMIZER_PAIRS = [  # (flat-buffer optimizer, per-parameter loop oracle)
+    pytest.param(lambda: Adam(lr=0.05), lambda: LoopAdam(lr=0.05), id="adam"),
+    pytest.param(
+        lambda: SGDMomentum(0.05, 0.9), lambda: LoopSGDMomentum(0.05, 0.9), id="sgd"
+    ),
+]
+
+
+@pytest.mark.parametrize("make", OPTIMIZERS)
+def test_optimizer_rejects_other_tensors_on_a_later_step(make):
+    # same count and shapes: the moments of the first list must not be
+    # reused for the second one by position
+    opt = make()
+    opt.step([parameter([1.0]), parameter([2.0])], [np.ones(1), np.ones(1)])
+    with pytest.raises(ValueError, match="parameter 0 is not the tensor"):
+        opt.step([parameter([1.0]), parameter([2.0])], [np.ones(1), np.ones(1)])
+
+
+@pytest.mark.parametrize("make", OPTIMIZERS)
+def test_optimizer_rejects_a_different_parameter_count(make):
+    p, q = parameter([1.0]), parameter([2.0])
+    opt = make()
+    opt.step([p, q], [np.ones(1), np.ones(1)])
+    with pytest.raises(ValueError, match="updates 2 parameters, got 1"):
+        opt.step([p], [np.ones(1)])
+
+
+@pytest.mark.parametrize("make", OPTIMIZERS)
+def test_optimizer_rejects_a_repeated_tensor(make):
+    p = parameter([1.0, 2.0])
+    with pytest.raises(ValueError, match="distinct"):
+        make().step([p, p], [np.ones(2), np.ones(2)])
+    assert np.array_equal(p.data, [1.0, 2.0])
+
+
+@pytest.mark.parametrize("make", OPTIMIZERS)
+def test_optimizer_rejects_an_empty_parameter_list(make):
+    with pytest.raises(ValueError, match="at least one parameter"):
+        make().step([], [])
+
+
+@pytest.mark.parametrize("make", OPTIMIZERS)
+def test_optimizer_rejects_replaced_parameter_data(make):
+    # the first step makes .data a view of the optimizer's buffer; an array
+    # bound in its place would no longer be updated
+    p, q = parameter([1.0]), parameter([2.0])
+    opt = make()
+    opt.step([p, q], [np.ones(1), np.ones(1)])
+    q.data = np.array([5.0])
+    with pytest.raises(ValueError, match="parameter 1's data was replaced"):
+        opt.step([p, q], [np.ones(1), np.ones(1)])
+
+
+@pytest.mark.parametrize("make, make_loop", OPTIMIZER_PAIRS)
+def test_optimizer_packs_scalar_transposed_and_empty_parameters(make, make_loop):
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((3, 4))
+    flat = [
+        parameter(2.5),
+        parameter(base.T),
+        parameter(np.zeros(0)),
+        parameter(rng.standard_normal(2)),
+    ]
+    loop = [
+        parameter(2.5),
+        parameter(base.T.copy()),
+        parameter(np.zeros(0)),
+        parameter(flat[3].data.copy()),
+    ]
+    assert not flat[1].data.flags.c_contiguous
+    opt, ref = make(), make_loop()
+    for _ in range(25):
+        grads = [rng.standard_normal(p.data.shape) for p in flat]
+        opt.step(flat, grads)
+        ref.step(loop, grads)
+    for p, q in zip(flat, loop):
+        assert p.data.shape == q.data.shape
+        assert np.array_equal(p.data, q.data)
+    assert flat[0].data.shape == ()
+
+
+@pytest.mark.parametrize("make, make_loop", OPTIMIZER_PAIRS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_gradient_names_its_parameter_and_updates_nothing(
+    make, make_loop, bad
+):
+    params = [parameter([1.0, 2.0]), parameter([[3.0]]), parameter([4.0, 5.0, 6.0])]
+    before = [p.data.copy() for p in params]
+    grads = [np.ones(2), np.ones((1, 1)), np.array([0.5, bad, 0.5])]
+    for opt in (make(), make_loop()):
+        with pytest.raises(FloatingPointError, match="parameter 2$"):
+            opt.step(params, grads)
+        for p, b in zip(params, before):
+            assert np.array_equal(p.data, b)
+
+
+_SHAPES = st.sampled_from([(), (1,), (3,), (7,), (1, 1), (2, 3), (4, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shapes=st.lists(_SHAPES, min_size=1, max_size=6),
+    zero=st.lists(st.booleans(), min_size=6, max_size=6),
+    n_steps=st.integers(20, 50),
+    kind=st.sampled_from(["adam", "sgd"]),
+    lr=st.floats(1e-4, 1.0),
+    beta1=st.floats(0.0, 0.99),
+    beta2=st.floats(0.5, 0.9999),
+    eps=st.floats(1e-12, 1e-3),
+    momentum=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_optimizers_match_the_per_parameter_loops_bit_for_bit(
+    shapes, zero, n_steps, kind, lr, beta1, beta2, eps, momentum, seed
+):
+    rng = np.random.default_rng(seed)
+    init = [rng.standard_normal(s) for s in shapes]
+    scale = 10.0 ** rng.uniform(-3, 3, size=len(shapes))
+    flat = [parameter(x.copy()) for x in init]
+    loop = [parameter(x.copy()) for x in init]
+    if kind == "adam":
+        opt = Adam(lr=lr, beta1=beta1, beta2=beta2, epsilon=eps)
+        ref = LoopAdam(lr=lr, beta1=beta1, beta2=beta2, epsilon=eps)
+    else:
+        opt = SGDMomentum(lr=lr, momentum=momentum)
+        ref = LoopSGDMomentum(lr=lr, momentum=momentum)
+    for _ in range(n_steps):
+        grads = [
+            np.zeros(s) if z else rng.standard_normal(s) * k
+            for s, z, k in zip(shapes, zero, scale)
+        ]
+        opt.step(flat, grads)
+        ref.step(loop, grads)
+    for p, q in zip(flat, loop):
+        assert p.data.shape == q.data.shape
+        assert np.array_equal(p.data, q.data)

@@ -263,7 +263,7 @@ def test_head_output_dm_scores_softmax_of_distances():
     expect = 1.0 / (1.0 + np.exp(-5.0))
     assert abs(out.confidence.data[0] - expect) < 1e-12
     assert abs(out.uncertainty.data[0] - (1.0 - expect)) < 1e-12
-    assert out.latent is latent and out.prototypes is protos
+    assert out.prototypes is protos
 
 
 def test_head_output_unknown_head_raises():
