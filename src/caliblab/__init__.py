@@ -58,7 +58,7 @@ from .metrics import (
     reliability_bins,
 )
 from .nn import Adam, DenseLayer, SGDMomentum, init_dense
-from .reports import read_prediction_log, read_report_json
+from .reports import read_prediction_log
 from .uncertainty import (
     DirichletOutput,
     ModelOutput,

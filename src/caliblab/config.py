@@ -1,10 +1,12 @@
 """Training configuration: typed specs plus the INI config-file format.
 
 Config files are UTF-8 ``key = value`` lines grouped into the sections
-[model], [loss], [optimizer], [run], [data] and an optional [grid]. Keys
-mirror the dataclass fields below; unknown sections or keys are
-rejected, every loss weight defaults to zero, and missing required keys
-produce an error naming the key.
+[model], [loss], [optimizer], [run], [data] and an optional [grid]. The
+spec dataclasses are the schema: each field is a key of its section, parsed
+by its annotation and required when it has no default. Unknown sections or
+keys and non-finite numbers are rejected, every loss weight defaults to
+zero, missing required keys produce an error naming the key, and every
+[grid] candidate is validated on load.
 """
 
 from __future__ import annotations
@@ -12,12 +14,19 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass
 
 from .datasets import DatasetSpec
 
-HEAD_KINDS = ("softmax", "enn", "dm")
+# Head kind -> the loss weights that only that head may switch on.
+HEAD_LOSS_KEYS = {
+    "softmax": (),
+    "enn": ("evidential_kl",),
+    "dm": ("dm_entropy", "proto_dispersion", "uncertainty_bce"),
+}
 OPTIMIZER_KINDS = ("adam", "sgd-momentum")
 
 
@@ -34,7 +43,7 @@ class ModelSpec:
     sn_power_iters: int = 1
 
     def validate(self) -> None:
-        if self.head not in HEAD_KINDS:
+        if self.head not in HEAD_LOSS_KEYS:
             raise ConfigError(f"unknown head kind {self.head!r}")
         if any(h < 1 for h in self.hidden):
             raise ConfigError("hidden layer widths must be positive")
@@ -125,17 +134,13 @@ class TrainingConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
         # Loss weights must belong to the configured head.
-        if self.loss.evidential_kl > 0 and self.model.head != "enn":
-            raise ConfigError(
-                "loss key 'evidential_kl' requires head = enn, "
-                f"got head = {self.model.head}"
-            )
-        for name in ("dm_entropy", "proto_dispersion", "uncertainty_bce"):
-            if getattr(self.loss, name) > 0 and self.model.head != "dm":
-                raise ConfigError(
-                    f"loss key {name!r} requires head = dm, "
-                    f"got head = {self.model.head}"
-                )
+        for head, names in HEAD_LOSS_KEYS.items():
+            for name in names:
+                if getattr(self.loss, name) > 0 and self.model.head != head:
+                    raise ConfigError(
+                        f"loss key {name!r} requires head = {head}, "
+                        f"got head = {self.model.head}"
+                    )
 
 
 @dataclass(frozen=True)
@@ -157,16 +162,11 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int(text: str) -> int:
-    return int(text.strip())
-
-
 def _parse_float(text: str) -> float:
-    return float(text.strip())
-
-
-def _parse_str(text: str) -> str:
-    return text.strip()
+    value = float(text.strip())
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text.strip()!r}")
+    return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -176,52 +176,49 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part.strip()) for part in stripped.split(","))
 
 
+# Field annotation (a string, under postponed evaluation) -> value parser.
 _PARSERS = {
-    ("model", "hidden"): _parse_int_list,
-    ("model", "head"): _parse_str,
-    ("model", "spectral_norm"): _parse_bool,
-    ("model", "sn_coeff"): _parse_float,
-    ("model", "sn_power_iters"): _parse_int,
-    ("loss", "evidential_kl"): _parse_float,
-    ("loss", "avuc"): _parse_float,
-    ("loss", "mmce"): _parse_float,
-    ("loss", "dm_entropy"): _parse_float,
-    ("loss", "proto_dispersion"): _parse_float,
-    ("loss", "uncertainty_bce"): _parse_float,
-    ("loss", "conf_threshold"): _parse_float,
-    ("loss", "unc_threshold"): _parse_float,
-    ("loss", "avuc_sharpness"): _parse_float,
-    ("loss", "kernel_width"): _parse_float,
-    ("optimizer", "kind"): _parse_str,
-    ("optimizer", "lr"): _parse_float,
-    ("optimizer", "momentum"): _parse_float,
-    ("optimizer", "beta1"): _parse_float,
-    ("optimizer", "beta2"): _parse_float,
-    ("optimizer", "epsilon"): _parse_float,
-    ("run", "epochs"): _parse_int,
-    ("run", "batch_size"): _parse_int,
-    ("run", "seed"): _parse_int,
-    ("run", "augment"): _parse_bool,
-    ("data", "kind"): _parse_str,
-    ("data", "samples"): _parse_int,
-    ("data", "classes"): _parse_int,
-    ("data", "noise"): _parse_float,
-    ("data", "label_noise"): _parse_float,
-    ("data", "train_frac"): _parse_float,
-    ("data", "val_frac"): _parse_float,
-    ("data", "test_frac"): _parse_float,
-    ("data", "seed"): _parse_int,
-    ("data", "path"): _parse_str,
+    "bool": _parse_bool,
+    "int": int,
+    "float": _parse_float,
+    "str": str.strip,
+    "str | None": str.strip,
+    "tuple[int, ...]": _parse_int_list,
 }
 
-_REQUIRED = (
-    ("model", "hidden"),
-    ("optimizer", "lr"),
-    ("run", "epochs"),
-    ("run", "batch_size"),
-)
+# INI section -> the spec dataclass whose fields are its keys. [run] holds
+# TrainingConfig's own scalar fields; its spec-typed fields are sections.
+_SPECS = {
+    "model": ModelSpec,
+    "loss": LossWeights,
+    "optimizer": OptimizerSpec,
+    "run": TrainingConfig,
+    "data": DatasetSpec,
+}
+_NESTED = [f.name for f in dataclasses.fields(TrainingConfig) if f.name in _SPECS]
 
-_SECTIONS = ("model", "loss", "optimizer", "run", "data", "grid")
+
+def _build_schema(specs: dict) -> dict[str, dict[str, dataclasses.Field]]:
+    """Section -> key -> dataclass field; every annotation must have a parser."""
+    schema = {}
+    for section, spec in specs.items():
+        fields = [f for f in dataclasses.fields(spec) if f.name not in specs]
+        for f in fields:
+            if f.type not in _PARSERS:
+                raise TypeError(f"no config parser for {spec.__name__}.{f.name}")
+        schema[section] = {f.name: f for f in fields}
+    return schema
+
+
+_SCHEMA = _build_schema(_SPECS)
+
+
+def _training_field(key: str) -> dataclasses.Field | None:
+    """The field a dotted `section.key` names within TrainingConfig, if any."""
+    section, _, name = key.partition(".")
+    if section != "run" and section not in _NESTED:
+        return None
+    return _SCHEMA[section].get(name)
 
 
 def _read_ini(path) -> configparser.ConfigParser:
@@ -242,54 +239,55 @@ def load_config(path) -> LoadedConfig:
     """Parse and validate a config file; errors name the offending key."""
     parser = _read_ini(path)
 
-    values: dict[tuple[str, str], object] = {}
+    values: dict[str, dict] = {section: {} for section in _SCHEMA}
     grid: dict[str, list] = {}
     for section in parser.sections():
-        if section not in _SECTIONS:
+        if section != "grid" and section not in _SCHEMA:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
             if section == "grid":
                 grid[key] = _parse_grid_values(key, raw)
                 continue
-            parse = _PARSERS.get((section, key))
-            if parse is None:
+            field = _SCHEMA[section].get(key)
+            if field is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
             try:
-                values[(section, key)] = parse(raw)
+                values[section][key] = _PARSERS[field.type](raw)
             except ValueError as exc:
                 raise ConfigError(
                     f"bad value for {key!r} in section [{section}]: {exc}"
                 ) from exc
 
-    for section, key in _REQUIRED:
-        if (section, key) not in values:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
+    for section, fields in _SCHEMA.items():
+        for key, f in fields.items():
+            # A field with neither a default nor a default factory is required.
+            required = f.default is f.default_factory is dataclasses.MISSING
+            if required and key not in values[section]:
+                raise ConfigError(
+                    f"missing required key {key!r} in section [{section}]"
+                )
 
-    def section_kwargs(section: str) -> dict:
-        return {k: v for (s, k), v in values.items() if s == section}
-
-    model = ModelSpec(**section_kwargs("model"))
-    loss = LossWeights(**section_kwargs("loss"))
-    optimizer = OptimizerSpec(**section_kwargs("optimizer"))
-    training = TrainingConfig(
-        model=model, loss=loss, optimizer=optimizer, **section_kwargs("run")
-    )
+    nested = {name: _SPECS[name](**values[name]) for name in _NESTED}
+    training = _SPECS["run"](**nested, **values["run"])
     training.validate()
-    data = DatasetSpec(**section_kwargs("data"))
+    data = _SPECS["data"](**values["data"])
     try:
         data.validate()
     except ValueError as exc:
         raise ConfigError(f"section [data]: {exc}") from exc
+    if grid:
+        grid_candidates(training, grid)  # validates every candidate up front
     return LoadedConfig(training=training, data=data, grid=grid or None)
 
 
 def _parse_grid_values(key: str, raw: str) -> list:
-    section, _, field = key.partition(".")
-    parse = _PARSERS.get((section, field))
-    if parse is None or section not in ("model", "loss", "optimizer", "run"):
+    field = _training_field(key)
+    if field is None:
         raise ConfigError(f"unknown grid key {key!r}")
-    if field == "hidden":
-        raise ConfigError("grid search over 'model.hidden' is not supported")
+    parse = _PARSERS[field.type]
+    if parse is _parse_int_list:
+        # Commas separate grid candidates, so a list value cannot be swept.
+        raise ConfigError(f"grid search over {key!r} is not supported")
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if len(parts) < 1:
         raise ConfigError(f"grid key {key!r} lists no candidate values")
@@ -301,38 +299,46 @@ def _parse_grid_values(key: str, raw: str) -> list:
 
 def apply_override(training: TrainingConfig, key: str, value) -> TrainingConfig:
     """Return a copy of `training` with one dotted-key field replaced."""
+    if _training_field(key) is None:
+        raise ConfigError(f"unknown override key {key!r}")
     section, _, field = key.partition(".")
     if section == "run":
-        if field not in ("epochs", "batch_size", "seed", "augment"):
-            raise ConfigError(f"unknown override key {key!r}")
         return dataclasses.replace(training, **{field: value})
-    if section in ("model", "loss", "optimizer"):
-        target = getattr(training, section)
-        if field not in {f.name for f in dataclasses.fields(target)}:
-            raise ConfigError(f"unknown override key {key!r}")
-        replaced = dataclasses.replace(target, **{field: value})
-        return dataclasses.replace(training, **{section: replaced})
-    raise ConfigError(f"unknown override key {key!r}")
+    replaced = dataclasses.replace(getattr(training, section), **{field: value})
+    return dataclasses.replace(training, **{section: replaced})
+
+
+def grid_candidates(training: TrainingConfig, space: dict[str, list]) -> list:
+    """(overrides, config) per point of the Cartesian product of `space`.
+
+    The last key varies fastest. Every candidate is validated before the
+    list is returned; an invalid one raises ConfigError naming its overrides.
+    """
+    candidates = []
+    for combo in itertools.product(*space.values()):
+        overrides = dict(zip(space, combo))
+        candidate = training
+        for key, value in overrides.items():
+            candidate = apply_override(candidate, key, value)
+        try:
+            candidate.validate()
+        except ConfigError as exc:
+            raise ConfigError(f"grid candidate {overrides}: {exc}") from exc
+        candidates.append((overrides, candidate))
+    return candidates
 
 
 # -- serialization -----------------------------------------------------------
 
 
 def config_to_dict(training: TrainingConfig, data: DatasetSpec) -> dict:
-    blob = {
-        "model": dataclasses.asdict(training.model),
-        "loss": dataclasses.asdict(training.loss),
-        "optimizer": dataclasses.asdict(training.optimizer),
-        "run": {
-            "epochs": training.epochs,
-            "batch_size": training.batch_size,
-            "seed": training.seed,
-            "augment": training.augment,
-        },
-        "data": dataclasses.asdict(data),
+    """Section -> key -> value of every schema key, in declaration order."""
+    specs = {"run": training, "data": data}
+    specs.update((name, getattr(training, name)) for name in _NESTED)
+    return {
+        section: {key: getattr(specs[section], key) for key in keys}
+        for section, keys in _SCHEMA.items()
     }
-    blob["model"]["hidden"] = list(training.model.hidden)
-    return blob
 
 
 def config_digest(training: TrainingConfig, data: DatasetSpec) -> str:
@@ -343,17 +349,15 @@ def config_digest(training: TrainingConfig, data: DatasetSpec) -> str:
 
 def dump_config(training: TrainingConfig, data: DatasetSpec) -> str:
     """Render a configuration back to config-file text."""
-    blob = config_to_dict(training, data)
     lines: list[str] = []
-    for section in ("model", "loss", "optimizer", "run", "data"):
-        body = blob[section]
+    for section, body in config_to_dict(training, data).items():
         lines.append(f"[{section}]")
         for key, value in body.items():
             if value is None:
                 continue
             if isinstance(value, bool):
                 text = "true" if value else "false"
-            elif isinstance(value, list):
+            elif isinstance(value, tuple):
                 text = ",".join(str(v) for v in value)
             else:
                 text = repr(value) if isinstance(value, float) else str(value)

@@ -8,6 +8,7 @@ maps to bitwise-identical arrays on every call.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,10 +233,13 @@ def load_csv(path) -> tuple[Array, Array]:
                     f"{path}: line {lineno}: expected {d + 1} fields, got {len(row)}"
                 )
             try:
-                features.append([float(v) for v in row[:d]])
+                values = [float(v) for v in row[:d]]
                 label = int(row[d])
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}: line {lineno}: non-finite feature value")
+            features.append(values)
             if label < 0:
                 raise ValueError(f"{path}: line {lineno}: negative label {label}")
             labels.append(label)

@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, constant, gradients, parameter
-from .config import ModelSpec, OptimizerSpec, TrainingConfig, apply_override
+from .config import ModelSpec, OptimizerSpec, TrainingConfig, grid_candidates
 from .datasets import Dataset, augment
 from .losses import total_loss
 from .metrics import (
@@ -230,13 +229,13 @@ def grid_search(
 ) -> GridResult:
     """Exhaustive sweep over the Cartesian product of `space`.
 
-    Candidates are ranked by validation balanced accuracy; exact ties fall
-    back to the lower validation ECE and then to first-seen order. The trace
-    records every candidate in evaluation order.
+    Every candidate is validated before the first fit. Candidates are
+    ranked by validation balanced accuracy; exact ties fall back to the
+    lower validation ECE and then to first-seen order. The trace records
+    every candidate in evaluation order.
     """
     if not space:
         raise ValueError("grid search needs at least one swept key")
-    keys = list(space.keys())
     for key, values in space.items():
         if not values:
             raise ValueError(f"grid key {key!r} lists no candidate values")
@@ -246,12 +245,7 @@ def grid_search(
     best_overrides: dict = {}
     best_bacc = -np.inf
     best_ece = np.inf
-    for combo in itertools.product(*(space[k] for k in keys)):
-        overrides = dict(zip(keys, combo))
-        candidate = config
-        for key, value in overrides.items():
-            candidate = apply_override(candidate, key, value)
-        candidate.validate()
+    for overrides, candidate in grid_candidates(config, space):
         model, _ = fit(candidate, dataset)
         records = predict_records(model, dataset.x_val, dataset.y_val)
         bacc = balanced_accuracy(records)

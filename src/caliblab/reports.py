@@ -160,11 +160,6 @@ def report_json_text(report: CalibrationReport, meta: dict | None = None) -> str
     return json.dumps(report_payload(report, meta), indent=2) + "\n"
 
 
-def read_report_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 # -- reliability diagram ----------------------------------------------------------
 
 

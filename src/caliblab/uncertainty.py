@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Array, Tensor, as_tensor, softmax, sq_dist
-from .config import HEAD_KINDS
+from .config import HEAD_LOSS_KEYS
 
 
 class TrainingError(RuntimeError):
@@ -35,12 +35,7 @@ class DirichletOutput:
     alpha: Tensor         # evidence + 1
     strength: Tensor      # row sums of alpha, shape (n, 1)
     prob: Tensor          # expected probabilities alpha / strength
-    belief: Tensor        # evidence / strength
     uncertainty: Tensor   # M / strength, shape (n,)
-
-    @property
-    def n_classes(self) -> int:
-        return self.alpha.data.shape[1]
 
 
 def evidence_head(logits: Tensor) -> DirichletOutput:
@@ -59,16 +54,18 @@ def evidence_head(logits: Tensor) -> DirichletOutput:
     alpha = evidence + 1.0
     strength = alpha.sum(axis=1, keepdims=True)
     prob = alpha / strength
-    belief = evidence / strength
     uncertainty = (float(n_classes) / strength).reshape((-1,))
     return DirichletOutput(
         evidence=evidence,
         alpha=alpha,
         strength=strength,
         prob=prob,
-        belief=belief,
         uncertainty=uncertainty,
     )
+
+
+# Power-iteration steps of the first refresh, before the convergence loop.
+_INIT_ITERS = 30
 
 
 class SpectralNorm:
@@ -86,15 +83,13 @@ class SpectralNorm:
         shape: tuple[int, int],
         rng: np.random.Generator,
         power_iters: int = 1,
-        init_iters: int = 30,
     ):
         if coeff <= 0:
             raise ValueError("spectral norm coefficient must be positive")
-        if power_iters < 1 or init_iters < 1:
-            raise ValueError("power-iteration counts must be positive")
+        if power_iters < 1:
+            raise ValueError("power-iteration count must be positive")
         self.coeff = float(coeff)
         self.power_iters = int(power_iters)
-        self.init_iters = int(init_iters)
         n_out, n_in = shape
         u = rng.standard_normal(n_out)
         self.u = u / np.linalg.norm(u)
@@ -102,15 +97,15 @@ class SpectralNorm:
         self.v = v / np.linalg.norm(v)
         self._initialized = False
 
-    def refresh(self, weight: Array, iters: int | None = None) -> float:
-        """Run power-iteration steps on `weight`; returns the sigma estimate.
+    def refresh(self, weight: Array) -> float:
+        """Run `power_iters` power-iteration steps on `weight`; returns sigma.
 
-        The first call uses `init_iters` steps and then continues until the
+        The first call runs `_INIT_ITERS` steps and then continues until the
         estimate stabilizes, so the initial estimate is trustworthy even for
         spectra with near-tied leading singular values.
         """
         if not self._initialized:
-            sigma = self._iterate(weight, self.init_iters)
+            sigma = self._iterate(weight, _INIT_ITERS)
             for _ in range(1000):
                 prev = sigma
                 sigma = self._iterate(weight, 1)
@@ -118,7 +113,7 @@ class SpectralNorm:
                     break
             self._initialized = True
             return sigma
-        return self._iterate(weight, self.power_iters if iters is None else iters)
+        return self._iterate(weight, self.power_iters)
 
     def _iterate(self, weight: Array, steps: int) -> float:
         u, v = self.u, self.v
@@ -218,7 +213,7 @@ def head_output(
     Confidence is the winning probability for every head. Non-finite logits
     raise TrainingError before any probability is formed.
     """
-    if head not in HEAD_KINDS:
+    if head not in HEAD_LOSS_KEYS:
         raise ValueError(f"unknown head kind {head!r}")
     features = as_tensor(features)
     is_dm = head == "dm"

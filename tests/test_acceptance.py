@@ -31,7 +31,6 @@ from caliblab.metrics import (
     max_calibration_error,
     overconfidence_error,
 )
-from caliblab.reports import read_report_json
 from caliblab.uncertainty import SpectralNorm, evidence_head
 
 from oracles import (
@@ -475,7 +474,7 @@ def test_criterion_08_determinism_and_round_trip(capsys, tmp_path):
         capsys.readouterr()  # drop the train progress lines
         assert cli_main(["evaluate", str(out_a / "predictions.csv")]) == 0
         evaluated = json.loads(capsys.readouterr().out)
-        paired = read_report_json(out_a / "report.json")
+        paired = json.loads((out_a / "report.json").read_text())
         for key in ("ece", "aece", "mce", "oe", "brier", "bacc"):
             assert abs(evaluated[key] - paired[key]) <= 1e-9
         assert evaluated["n_samples"] == paired["n_samples"]

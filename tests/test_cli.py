@@ -6,7 +6,7 @@ import pytest
 
 from caliblab.cli import main
 from caliblab.config import load_config
-from caliblab.reports import read_prediction_log, read_report_json
+from caliblab.reports import read_prediction_log
 
 QUICK = """\
 [model]
@@ -45,7 +45,7 @@ def test_train_writes_predictions_and_report(tmp_path, config_path, capsys):
     assert run_cli("train", "--config", config_path, "--out", out) == 0
     records = read_prediction_log(out / "predictions.csv")
     assert len(records) == 10  # test split of 100 samples
-    report = read_report_json(out / "report.json")
+    report = json.loads((out / "report.json").read_text())
     assert 0.0 <= report["ece"] <= 1.0
     assert report["n_samples"] == 10
     meta = report["meta"]
@@ -78,7 +78,7 @@ def test_evaluate_reproduces_the_written_report(tmp_path, config_path, capsys):
     capsys.readouterr()
     assert run_cli("evaluate", out / "predictions.csv") == 0
     evaluated = json.loads(capsys.readouterr().out)
-    stored = read_report_json(out / "report.json")
+    stored = json.loads((out / "report.json").read_text())
     for key in ("bacc", "ece", "aece", "mce", "oe", "brier"):
         assert abs(evaluated[key] - stored[key]) < 1e-9
     assert evaluated["meta"]["source_log"].endswith("predictions.csv")
@@ -133,7 +133,7 @@ def test_multiseed_and_ensemble_commands(tmp_path, config_path, capsys):
     assert run_cli("ensemble", log_a, log_b, "--out", dest) == 0
     combined = read_prediction_log(dest / "ensemble_predictions.csv")
     assert len(combined) == 10
-    report = read_report_json(dest / "ensemble_report.json")
+    report = json.loads((dest / "ensemble_report.json").read_text())
     assert len(report["meta"]["source_logs"]) == 2
 
 

@@ -1,7 +1,12 @@
 """Config parsing, validation, overrides, and round-trip serialization."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+from caliblab import config
 from caliblab.config import (
     ConfigError,
     LossWeights,
@@ -263,3 +268,118 @@ def test_config_digest_is_stable_and_sensitive(tmp_path):
     assert d1 == d2 and len(d1) == 16
     bumped = apply_override(loaded.training, "run.seed", 1)
     assert config_digest(bumped, loaded.data) != d1
+
+
+# -- schema derived from the spec dataclasses ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "section, key, text",
+    [
+        ("optimizer", "lr", "nan"),
+        ("optimizer", "lr", "inf"),
+        ("optimizer", "lr", "-Infinity"),
+        ("data", "noise", "nan"),
+        ("loss", "avuc", "nan"),
+        ("loss", "kernel_width", "1e999"),
+    ],
+)
+def test_non_finite_floats_are_rejected(tmp_path, section, key, text):
+    if key == "lr":
+        body = MINIMAL.replace("lr = 0.01", f"lr = {text}")
+    else:
+        body = MINIMAL + f"\n[{section}]\n{key} = {text}\n"
+    with pytest.raises(ConfigError, match=rf"bad value for '{key}' in section \[{section}\]"):
+        load_config(write(tmp_path, body))
+
+
+def test_non_finite_grid_values_are_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="bad grid value for 'loss.mmce'"):
+        load_config(write(tmp_path, MINIMAL + "\n[grid]\nloss.mmce = 1, nan\n"))
+
+
+def test_invalid_grid_candidate_fails_at_load_naming_its_overrides(tmp_path):
+    text = MINIMAL + "\n[grid]\noptimizer.lr = 0.1, 0.2\nloss.mmce = 1, -1\n"
+    with pytest.raises(ConfigError) as info:
+        load_config(write(tmp_path, text))
+    message = str(info.value)
+    assert "'optimizer.lr': 0.1" in message and "'loss.mmce': -1.0" in message
+    assert "loss weight 'mmce' must be non-negative" in message
+
+
+def test_grid_candidates_are_validated_in_combination(tmp_path):
+    enn = MINIMAL.replace("hidden = 8, 8", "hidden = 8, 8\nhead = enn")
+    text = enn + "\n[loss]\nevidential_kl = 1\n\n[grid]\nmodel.head = enn, softmax\n"
+    with pytest.raises(ConfigError, match="'model.head': 'softmax'.*head = enn"):
+        load_config(write(tmp_path, text))
+    valid = MINIMAL + "\n[grid]\nmodel.head = enn, softmax\nrun.seed = 1, 2\n"
+    assert load_config(write(tmp_path, valid)).grid == {
+        "model.head": ["enn", "softmax"],
+        "run.seed": [1, 2],
+    }
+
+
+def test_required_keys_are_the_fields_without_defaults(tmp_path):
+    lines = MINIMAL.splitlines()
+    for required in ("hidden", "lr", "epochs", "batch_size"):
+        text = "\n".join(line for line in lines if not line.startswith(required))
+        with pytest.raises(ConfigError, match=f"missing required key '{required}'"):
+            load_config(write(tmp_path, text + "\n"))
+
+
+def test_a_new_spec_field_needs_no_other_edit(tmp_path, monkeypatch):
+    extended = dataclasses.make_dataclass(
+        "ExtendedLoss",
+        [
+            ("temperature", "float", dataclasses.field(default=1.0)),
+            ("anneal_epochs", "int", dataclasses.field(kw_only=True)),
+        ],
+        bases=(LossWeights,),
+        frozen=True,
+    )
+    monkeypatch.setitem(config._SPECS, "loss", extended)
+    monkeypatch.setattr(config, "_SCHEMA", config._build_schema(config._SPECS))
+
+    # Required, because it has no default.
+    with pytest.raises(ConfigError, match=r"missing required key 'anneal_epochs' in section \[loss\]"):
+        load_config(write(tmp_path, MINIMAL))
+    # Parseable, by its annotation.
+    text = MINIMAL + "\n[loss]\nanneal_epochs = 4\ntemperature = 2.5\n"
+    loaded = load_config(write(tmp_path, text))
+    assert loaded.training.loss.temperature == 2.5
+    assert loaded.training.loss.anneal_epochs == 4
+    # Overridable.
+    bumped = apply_override(loaded.training, "loss.temperature", 0.5)
+    assert bumped.loss.temperature == 0.5
+    # Griddable.
+    gridded = load_config(write(tmp_path, text + "\n[grid]\nloss.temperature = 1, 3\n"))
+    assert gridded.grid == {"loss.temperature": [1.0, 3.0]}
+    # Dumped, and the dump loads back to the same config.
+    dumped = dump_config(loaded.training, loaded.data)
+    assert "temperature = 2.5\nanneal_epochs = 4\n" in dumped
+    reloaded = load_config(write(tmp_path, dumped, name="dumped.ini"))
+    assert reloaded.training == loaded.training
+    assert config_digest(bumped, loaded.data) != config_digest(loaded.training, loaded.data)
+
+
+def test_an_annotation_without_a_parser_is_rejected():
+    odd = dataclasses.make_dataclass("Odd", [("weights", "dict[str, float]")])
+    with pytest.raises(TypeError, match=r"no config parser for Odd\.weights"):
+        config._build_schema({"odd": odd})
+
+
+def test_readme_lists_every_schema_key_in_its_section():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Config sections", 1)[1].split("\n\n", 2)[1]
+    bullets = {
+        match.group(1): match.group(2)
+        for match in re.finditer(r"^- `\[(\w+)\]` — (.*?)(?=^- |\Z)", block, re.M | re.S)
+    }
+    assert set(bullets) == set(config._SCHEMA)
+    missing = [
+        f"[{section}] {key}"
+        for section, keys in config._SCHEMA.items()
+        for key in keys
+        if f"`{key}`" not in bullets[section]
+    ]
+    assert not missing, f"README 'Config sections' does not list: {missing}"

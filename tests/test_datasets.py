@@ -235,3 +235,11 @@ def test_csv_errors_name_one_based_lines(tmp_path):
     path.write_text("feat_0,feat_1,label\n1.0,2.0,0\n3.0,4.0,0\n")
     with pytest.raises(ValueError, match="two distinct classes"):
         load_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "1e999"])
+def test_csv_rejects_non_finite_features_naming_the_line(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"feat_0,feat_1,label\n1.0,2.0,0\n3.0,{cell},1\n")
+    with pytest.raises(ValueError, match="line 3: non-finite feature value"):
+        load_csv(path)

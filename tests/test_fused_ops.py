@@ -369,7 +369,7 @@ def dirichlet_leaves(rng, n, c):
 
 
 def as_dirichlet(alpha, strength):
-    return DirichletOutput(alpha, alpha, strength, alpha, alpha, strength)
+    return DirichletOutput(alpha, alpha, strength, alpha, strength)
 
 
 @settings(max_examples=30, deadline=None)

@@ -209,6 +209,15 @@ def test_grid_search_validates_candidates():
         grid_search(quick_config(epochs=1), ds, {"loss.evidential_kl": [1.0]})
 
 
+def test_grid_search_rejects_an_invalid_candidate_before_any_fit(monkeypatch):
+    fits = []
+    monkeypatch.setattr("caliblab.harness.fit", lambda *args: fits.append(args))
+    space = {"optimizer.lr": [0.1, 0.2], "loss.mmce": [1.0, -1.0]}
+    with pytest.raises(ValueError, match="'loss.mmce': -1.0.*must be non-negative"):
+        grid_search(quick_config(epochs=1), blobs(), space)
+    assert fits == []
+
+
 # -- multi-seed ------------------------------------------------------------------
 
 

@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from caliblab.autodiff import constant, finite_diff_grad, gradients, parameter, softmax
 from caliblab.uncertainty import (
-    DirichletOutput,
     SpectralNorm,
     dm_logits,
     evidence_head,
@@ -27,7 +26,7 @@ def test_zero_evidence_is_maximally_uncertain():
     assert np.array_equal(out.alpha.data, np.ones((3, 4)))
     assert np.array_equal(out.prob.data, np.full((3, 4), 0.25))
     assert np.array_equal(out.uncertainty.data, np.ones(3))
-    assert np.array_equal(out.belief.data, np.zeros((3, 4)))
+    assert np.array_equal((out.evidence / out.strength).data, np.zeros((3, 4)))
 
 
 def test_evidence_head_worked_example():
@@ -60,7 +59,8 @@ def test_evidence_head_invariants(logits):
     assert np.all(prob > 0.0)
     assert np.all(u > 0.0) and np.all(u <= 1.0)
     # belief mass plus uncertainty mass is exactly one
-    assert np.max(np.abs(out.belief.data.sum(axis=1) + u - 1.0)) < 1e-12
+    belief = (out.evidence / out.strength).data
+    assert np.max(np.abs(belief.sum(axis=1) + u - 1.0)) < 1e-12
 
 
 def test_uncertainty_strictly_decreases_with_added_evidence():
@@ -279,9 +279,3 @@ def test_head_output_confidence_bounds():
     assert np.all(out.confidence.data >= 0.25 - 1e-12)
     assert np.all(out.confidence.data <= 1.0)
     assert np.max(np.abs(out.confidence.data + out.uncertainty.data - 1.0)) < 1e-12
-
-
-def test_dirichlet_output_n_classes():
-    out = evidence_head(constant(np.zeros((2, 7))))
-    assert isinstance(out, DirichletOutput)
-    assert out.n_classes == 7
