@@ -160,7 +160,16 @@ def predict_records(
     y: np.ndarray,
     sample_ids: np.ndarray | None = None,
 ) -> Predictions:
-    output = model.forward(x)
+    """Score a batch without recording a tape: the parameters are read as
+    constants for the forward pass, so no node keeps its inputs alive."""
+    params = model.parameters()
+    for p in params:
+        p.requires_grad = False
+    try:
+        output = model.forward(x)
+    finally:
+        for p in params:
+            p.requires_grad = True
     return Predictions(
         sample_id=np.arange(len(y)) if sample_ids is None else sample_ids,
         true_label=y,

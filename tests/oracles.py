@@ -263,3 +263,27 @@ class LoopSGDMomentum:
             v *= self.momentum
             v -= self.lr * g
             p.data += v
+
+
+# -- prediction-log text (one format call per cell) -------------------------------
+
+
+def naive_prediction_log(records) -> str:
+    """The log text with every cell formatted on its own: ``%d`` for the ids
+    and labels, ``%.12e`` for the floats, CRLF line ends."""
+    n_classes = records.probs.shape[1]
+    header = ["sample_id", "true_label", "pred_label", "confidence", "uncertainty"]
+    header += [f"p_{c}" for c in range(n_classes)]
+    lines = [",".join(header)]
+    for i in range(records.probs.shape[0]):
+        cells = [
+            "%d" % int(records.sample_id[i]),
+            "%d" % int(records.true_label[i]),
+            "%d" % int(records.pred_label[i]),
+            "%.12e" % float(records.confidence[i]),
+            "%.12e" % float(records.uncertainty[i]),
+        ]
+        for c in range(n_classes):
+            cells.append("%.12e" % float(records.probs[i, c]))
+        lines.append(",".join(cells))
+    return "".join(line + "\r\n" for line in lines)

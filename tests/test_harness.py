@@ -329,3 +329,30 @@ def test_ensemble_accuracy_is_at_least_plausible():
     singles = [balanced_accuracy(r) for r in logs]
     combined = balanced_accuracy(ensemble(logs))
     assert combined >= min(singles) - 0.1
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ModelSpec(hidden=(8,)),
+        ModelSpec(hidden=(8,), head="enn", spectral_norm=True),
+        ModelSpec(hidden=(8,), head="dm", spectral_norm=True),
+    ],
+)
+def test_scoring_records_no_tape_and_matches_the_taped_forward(model):
+    ds = blobs()
+    fitted, _ = fit(quick_config(model=model, epochs=2), ds)
+    taped = fitted.forward(ds.x_test)
+    assert taped.probs._parents  # a plain forward records a tape
+    scored = []
+    forward = fitted.forward
+    fitted.forward = lambda x, **kw: scored.append(forward(x, **kw)) or scored[-1]
+    records = predict_records(fitted, ds.x_test, ds.y_test)
+    out = scored[0]
+    for t in (out.logits, out.probs, out.confidence, out.uncertainty):
+        assert t._parents == () and not t.requires_grad
+    assert all(p.requires_grad for p in fitted.parameters())
+    assert np.array_equal(records.probs, taped.probs.data)
+    assert np.array_equal(records.confidence, taped.confidence.data)
+    assert np.array_equal(records.uncertainty, taped.uncertainty.data)
+    assert np.array_equal(records.pred_label, taped.predictions)

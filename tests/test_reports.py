@@ -1,14 +1,19 @@
 """Prediction-log, report-JSON, diagram export, and atomic-write tests."""
 
 import json
+import math
 import os
 import sys
 import threading
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from caliblab import reports
 from caliblab.metrics import Predictions, calibration_report, reliability_bins
 from caliblab.reports import (
     commit_artifacts,
@@ -20,6 +25,7 @@ from caliblab.reports import (
     report_payload,
 )
 
+from oracles import naive_prediction_log
 from test_metrics import binary_records, random_records
 
 
@@ -136,6 +142,116 @@ def test_prediction_log_non_finite_cell_names_its_line(tmp_path):
     path.write_bytes(GOLDEN_LOG.replace("1.000000000000e-07\r\n", "nan\r\n").encode())
     with pytest.raises(ValueError, match="line 6: record 4: non-finite"):
         read_prediction_log(path)
+
+
+@pytest.mark.parametrize(
+    "line, old, new",
+    [
+        (1, b"sample_id", b"sample\xffid"),  # header not UTF-8
+        (3, b"3,2,1,", b"3,2,\xff1,"),  # row not UTF-8
+        (2, b"7,0,0,", b"99999999999999999999,0,0,"),  # sample_id beyond int64
+    ],
+)
+def test_prediction_log_bad_bytes_and_int64_overflow_name_their_line(
+    tmp_path, line, old, new
+):
+    path = tmp_path / "log.csv"
+    path.write_bytes(GOLDEN_LOG.encode().replace(old, new, 1))
+    with pytest.raises(ValueError, match=f"log.csv: line {line}: "):
+        read_prediction_log(path)
+
+
+def _exact_ties(d: int):
+    """Odd multiples of 2**-(13 + d) in [10**-d, 10**(1 - d)): each has 14
+    significant digits ending in 5, an exact tie at 13 digits."""
+    j = 13 + d
+    lo = -(-(2**j) // 10**d)
+    hi = -(-(10 * 2**j) // 10**d) - 1
+    return st.integers(lo // 2, (hi - 1) // 2).map(lambda t: (2 * t + 1) / 2**j)
+
+
+_BIN_EDGES = [k / 10 for k in range(11)]
+_CELLS = st.one_of(
+    st.sampled_from(
+        [0.0, 1.0, -1e-12, 5e-324, 1e-11, 0.99999999999995]
+        + _BIN_EDGES
+        + [math.nextafter(edge, t) for edge in _BIN_EDGES for t in (0.0, 1.0)]
+    ),
+    st.integers(1, 7).flatmap(_exact_ties),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_classes=st.integers(2, 8),
+    rows=st.lists(
+        st.tuples(_CELLS, _CELLS, st.integers(0, 10**14), st.integers(0, 7)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_prediction_log_text_matches_per_cell_formatting(n_classes, rows):
+    # Each row puts a drawn cell x and 1 - x in two classes and a second
+    # drawn cell in the uncertainty column.
+    probs = np.zeros((len(rows), n_classes))
+    for i, (x, _, _, shift) in enumerate(rows):
+        probs[i, shift % n_classes] = x
+        probs[i, (shift + 1) % n_classes] = 1.0 - x
+    pred = np.argmax(probs, axis=1)
+    records = Predictions(
+        sample_id=[sid for _, _, sid, _ in rows],
+        true_label=[shift % n_classes for *_, shift in rows],
+        pred_label=pred,
+        confidence=probs[np.arange(len(rows)), pred],
+        uncertainty=[u for _, u, _, _ in rows],
+        probs=probs,
+    )
+    assert prediction_log_text(records) == naive_prediction_log(records)
+
+
+def _float_columns(probs):
+    conf = probs.max(axis=1)
+    return np.column_stack([conf, 1.0 - conf, probs])
+
+
+def test_prediction_log_fast_path_covers_dirichlet_and_one_hot_rows():
+    rng = np.random.default_rng(3)
+    _, exact = reports._float_cells(_float_columns(rng.dirichlet(np.ones(4), 5000)))
+    assert np.mean(~exact) < 0.01
+    one_hot = np.eye(4)[rng.integers(0, 4, 5000)]
+    _, exact = reports._float_cells(_float_columns(one_hot))
+    assert exact.all()
+
+
+def test_prediction_log_text_matches_per_cell_formatting_across_blocks():
+    records = random_records(np.random.default_rng(5), 5000, 5)  # three blocks
+    assert prediction_log_text(records) == naive_prediction_log(records)
+
+
+def _peak_above_current(call):
+    """call() and the most traced memory it held beyond what was live."""
+    live, _ = tracemalloc.get_traced_memory()
+    tracemalloc.reset_peak()
+    result = call()
+    return result, tracemalloc.get_traced_memory()[1] - live
+
+
+def test_prediction_log_io_memory_is_bounded(tmp_path):
+    records = random_records(np.random.default_rng(4), 20000, 4)
+    path = tmp_path / "log.csv"
+    tracemalloc.start()
+    try:
+        text, write_peak = _peak_above_current(lambda: prediction_log_text(records))
+        _, commit_peak = _peak_above_current(lambda: commit_artifacts([(path, text)]))
+        loaded, read_peak = _peak_above_current(lambda: read_prediction_log(path))
+    finally:
+        tracemalloc.stop()
+    columns = ("sample_id", "true_label", "pred_label", "confidence", "uncertainty")
+    arrays = loaded.probs.nbytes + sum(getattr(loaded, c).nbytes for c in columns)
+    assert write_peak <= 2.5 * len(text)
+    assert commit_peak <= 0.25 * len(text)
+    assert read_peak <= 3 * arrays
 
 
 def test_report_json_round_trip(tmp_path):
