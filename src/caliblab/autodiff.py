@@ -17,8 +17,8 @@ the order in which gradients from several uses of one value are added, so
 training gives the same bits as the composition would. Those modules build
 their nodes with ``Tensor._from_op``.
 
-Importing this module loads numpy only: ``sigmoid``, ``digamma`` and
-``gammaln`` import ``scipy.special`` when first called.
+The reference primitives ``sigmoid``, ``digamma`` and ``gammaln`` take
+their values from ``caliblab.special``, which computes them in numpy.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .special import expit, lgamma_digamma_trigamma
 
 Array = np.ndarray
 
@@ -316,10 +318,8 @@ class Tensor:
         ``tests/test_fused_ops.py`` builds AvUC's composition from it to
         check the fused VJP; no ``src/`` path calls it, demo 01 does.
         """
-        from scipy import special as _sp
-
         a = self
-        data = _sp.expit(a.data)
+        data = expit(a.data)
 
         def vjp(g: Array):
             return (g * data * (1.0 - data),)
@@ -333,13 +333,11 @@ class Tensor:
         Dirichlet KL from it to check their fused VJPs; no ``src/`` path
         calls it.
         """
-        from scipy import special as _sp
-
         a = self
-        data = _sp.psi(a.data)
+        _, data, slope = lgamma_digamma_trigamma(a.data)
 
         def vjp(g: Array):
-            return (g * _sp.polygamma(1, a.data),)
+            return (g * slope,)
 
         return Tensor._from_op(data, (a,), vjp, "digamma")
 
@@ -349,13 +347,11 @@ class Tensor:
         ``tests/test_fused_ops.py`` builds the Dirichlet KL from it to check
         the fused VJP; no ``src/`` path calls it.
         """
-        from scipy import special as _sp
-
         a = self
-        data = _sp.gammaln(a.data)
+        data, slope, _ = lgamma_digamma_trigamma(a.data)
 
         def vjp(g: Array):
-            return (g * _sp.psi(a.data),)
+            return (g * slope,)
 
         return Tensor._from_op(data, (a,), vjp, "gammaln")
 

@@ -6,24 +6,28 @@ Correctness bits (is the argmax prediction right) are treated as constants:
 they come from a locally constant argmax, so they carry no gradient.
 
 Each loss term is computed in one tape node with a hand-written backward
-rule; only masking, means, weights and MMCE's clamp and square root stay
-primitive ops. The rule repeats, in the same order, the arithmetic of the
+rule; only the weights in ``total_loss`` and MMCE's clamp and square root
+stay primitive ops. The rule repeats, in the same order, the arithmetic of the
 term written with primitive tape ops, including the order in which the
 gradients of a value's several uses are added, so gradients carry the same
 bits as that composition. ``tests/test_fused_ops.py`` keeps the
 compositions as the reference.
 
-Only the evidential, Dirichlet KL and AvUC terms need ``scipy.special``; they
-import it when called, so a process that never trains with them never loads
-scipy.
+The evidential, Dirichlet KL and AvUC terms take log-gamma, digamma,
+trigamma and the logistic function from ``caliblab.special``. Each term
+evaluates them in one batched call per step, and its VJP reuses the values
+of the forward pass.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from .autodiff import Array, Tensor, as_tensor, constant, sq_dist
 from .config import LossWeights
+from .special import expit, lgamma_digamma_trigamma
 from .uncertainty import DirichletOutput, ModelOutput
 
 _LOG_FLOOR = 1e-12
@@ -80,34 +84,53 @@ def dirichlet_kl_uniform(alpha: Tensor) -> Tensor:
     Zero exactly when every concentration parameter is 1.
     """
     alpha = as_tensor(alpha)
-    if alpha.data.ndim != 2:
-        raise ValueError("alpha must be a 2-D array of Dirichlet rows")
-    if alpha.data.min() <= 0:
-        raise ValueError("Dirichlet parameters must be positive")
-    from scipy import special as _sp
-
     a = alpha.data
-    m = a.shape[1]
-    total = a.sum(axis=1, keepdims=True)
-    log_norm = _sp.gammaln(total.reshape((-1,))) - _sp.gammaln(a).sum(axis=1)
-    excess = a - 1.0
-    psi_gap = _sp.psi(a) - _sp.psi(total)
-    value = log_norm - float(_sp.gammaln(m)) + (excess * psi_gap).sum(axis=1)
+    _check_dirichlet(a)
+    f = lgamma_digamma_trigamma(np.concatenate(_kl_arguments(a)))
+    value, vjp = _dirichlet_kl(a, f)
+    return Tensor._from_op(value, (alpha,), lambda g: (vjp(g),), "dirichlet_kl")
 
-    def vjp(g: Array):
+
+def _check_dirichlet(a: Array) -> None:
+    if a.ndim != 2:
+        raise ValueError("alpha must be a 2-D array of Dirichlet rows")
+    if a.min() <= 0:
+        raise ValueError("Dirichlet parameters must be positive")
+
+
+def _kl_arguments(a: Array) -> list:
+    """The KL's special-function arguments: row sums, entries, then M."""
+    return [a.sum(axis=1), a.reshape(-1), (a.shape[1],)]
+
+
+def _dirichlet_kl(a: Array, f: Array):
+    """The KL of each row of `a`, and its VJP from row to alpha gradients.
+
+    `f` is ``lgamma_digamma_trigamma`` of ``_kl_arguments(a)``. The VJP
+    reuses the forward digammas.
+    """
+    n, m = a.shape
+    lgamma_total, psi_total, trigamma_total = f[:, :n]
+    lgamma_a, psi_a, trigamma_a = f[:, n:-1].reshape((3, n, m))
+    log_norm = lgamma_total - lgamma_a.sum(axis=1)
+    excess = a - 1.0
+    psi_gap = psi_a - psi_total[:, None]
+    value = log_norm - float(f[0, -1]) + (excess * psi_gap).sum(axis=1)
+
+    def vjp(g: Array) -> Array:
         g_rows = g[:, None]
-        g_total = (g * _sp.psi(total.reshape((-1,)))).reshape(total.shape)
+        g_total = (g * psi_total)[:, None]
         g_psi_total = (-(g_rows * excess)).sum(axis=1, keepdims=True)
-        g_total = g_total + g_psi_total * _sp.polygamma(1, total)
+        g_total = g_total + g_psi_total * trigamma_total[:, None]
         # alpha's four uses, added in the composition's order: ln G(a),
         # (a - 1), psi(a), then S.
-        g_alpha = -g_rows * _sp.psi(a)
+        g_alpha = -g_rows * psi_a
         g_alpha += g_rows * psi_gap
-        g_alpha += g_rows * excess * _sp.polygamma(1, a)
+        g_alpha += g_rows * excess * trigamma_a
         g_alpha += g_total
-        return (g_alpha,)
+        return g_alpha
 
-    return Tensor._from_op(value, (alpha,), vjp, "dirichlet_kl")
+    return value, vjp
 
 
 def evidential_loss(
@@ -118,34 +141,47 @@ def evidential_loss(
     Data term per sample: psi(S) - psi(alpha_true). The KL penalty removes
     the true-class evidence first (alpha_tilde = y + (1-y)*alpha), so only
     evidence assigned to wrong classes is pushed toward the flat prior.
+
+    The loss is one tape node. One special-function evaluation covers the
+    data term and the KL, and the VJP repeats the arithmetic of
+    ``data + kl_weight * dirichlet_kl_uniform(alpha_tilde).mean()``.
     """
     if kl_weight < 0:
         raise ValueError("kl_weight must be non-negative")
-    from scipy import special as _sp
-
     alpha, strength = dirichlet.alpha, dirichlet.strength
-    mask = one_hot(labels, alpha.data.shape[1])
+    n, m = alpha.data.shape
+    mask = one_hot(labels, m)
     alpha_true = (alpha.data * mask).sum(axis=1)
     s_rows = strength.data.reshape((-1,))
-    n = float(s_rows.size)
+    arguments = [s_rows, alpha_true]
+    with_kl = kl_weight != 0.0
+    if with_kl:
+        keep = 1.0 - mask
+        alpha_tilde = mask + keep * alpha.data
+        _check_dirichlet(alpha_tilde)
+        arguments += _kl_arguments(alpha_tilde)
+    f = lgamma_digamma_trigamma(np.concatenate(arguments))
+    _, psi_s, trigamma_s = f[:, :n]
+    _, psi_true, trigamma_true = f[:, n : 2 * n]
+    value = (psi_s - psi_true).mean()
+    if with_kl:
+        kl_rows, kl_vjp = _dirichlet_kl(alpha_tilde, f[:, 2 * n :])
+        value = value + kl_rows.mean() * kl_weight
+    rows = float(n)
 
     def vjp(g: Array):
-        g_rows = g / n
-        g_strength = (g_rows * _sp.polygamma(1, s_rows)).reshape(strength.data.shape)
-        g_alpha = (-g_rows * _sp.polygamma(1, alpha_true))[:, None] * mask
+        g_rows = g / rows
+        g_strength = (g_rows * trigamma_s).reshape(strength.data.shape)
+        g_alpha = (-g_rows * trigamma_true)[:, None] * mask
+        if with_kl:
+            # The KL rows get g * kl_weight / n, as through `.mean()`, and
+            # alpha gets their gradient where alpha_tilde follows it.
+            g_kl = np.empty(n)
+            g_kl[...] = g * kl_weight / rows
+            g_alpha = g_alpha + kl_vjp(g_kl) * keep
         return g_alpha, g_strength
 
-    data_term = Tensor._from_op(
-        np.asarray((_sp.psi(s_rows) - _sp.psi(alpha_true)).mean()),
-        (alpha, strength),
-        vjp,
-        "evidential_data",
-    )
-    if kl_weight == 0.0:
-        return data_term
-    mask_t = constant(mask)
-    alpha_tilde = mask_t + (1.0 - mask_t) * alpha
-    return data_term + kl_weight * dirichlet_kl_uniform(alpha_tilde).mean()
+    return Tensor._from_op(np.asarray(value), (alpha, strength), vjp, "evidential")
 
 
 def avuc_loss(
@@ -169,8 +205,10 @@ def avuc_loss(
     """
     if not (0.0 < conf_threshold < 1.0 and 0.0 < unc_threshold < 1.0):
         raise ValueError("avuc thresholds must lie strictly inside (0, 1)")
-    if sharpness <= 0:
-        raise ValueError("avuc sharpness must be positive")
+    if not (math.isfinite(sharpness) and sharpness > 0):
+        raise ValueError(
+            f"avuc sharpness must be positive and finite, got {sharpness!r}"
+        )
     r = as_tensor(confidence)
     u = as_tensor(uncertainty)
     if r.data.shape != u.data.shape or r.data.ndim != 1:
@@ -178,17 +216,23 @@ def avuc_loss(
     acc = np.asarray(correct, dtype=np.float64)
     if acc.shape != r.data.shape:
         raise ValueError("correctness bits must align with confidence")
-    from scipy import special as _sp
-
     inv = 1.0 / sharpness
-    s_conf = _sp.expit((r.data - conf_threshold) * inv)
-    s_unc = _sp.expit((unc_threshold - u.data) * inv)
+    n = r.data.shape[0]
+    s_conf, s_unc = expit(
+        np.concatenate(
+            ((r.data - conf_threshold) * inv, (unc_threshold - u.data) * inv)
+        )
+    ).reshape((2, n))
     certain = s_conf * s_unc
     inacc = 1.0 - acc
-    n_ac = (acc * certain).sum()
-    n_au = (acc * (1.0 - certain)).sum()
-    n_ic = (inacc * certain).sum()
-    n_iu = (inacc * (1.0 - certain)).sum()
+    uncertain = 1.0 - certain
+    # One row per cell; numpy sums each row as it sums a 1-D array.
+    cells = np.empty((4, n))
+    np.multiply(acc, certain, out=cells[0])
+    np.multiply(acc, uncertain, out=cells[1])
+    np.multiply(inacc, certain, out=cells[2])
+    np.multiply(inacc, uncertain, out=cells[3])
+    n_ac, n_au, n_ic, n_iu = cells.sum(axis=1)
     num = n_au + n_ic
     den = n_ac + n_iu + _COUNT_EPS
     ratio = num / den
@@ -225,8 +269,10 @@ def mmce_loss(
     The value is the square root of that (clamped at zero) sum. Categories
     with no members contribute nothing, so single-sided batches are safe.
     """
-    if kernel_width <= 0:
-        raise ValueError("kernel width must be positive")
+    if not (math.isfinite(kernel_width) and kernel_width > 0):
+        raise ValueError(
+            f"mmce kernel_width must be positive and finite, got {kernel_width!r}"
+        )
     r = as_tensor(confidence)
     if r.data.ndim != 1:
         raise ValueError("confidence must be a 1-D array")

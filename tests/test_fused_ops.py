@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
 
 from caliblab.autodiff import (
     bias_relu,
@@ -33,6 +32,7 @@ from caliblab.losses import (
     mmce_loss,
     one_hot,
 )
+from caliblab.special import gammaln
 from caliblab.uncertainty import DirichletOutput, SpectralNorm, dm_logits
 
 shapes = dict(

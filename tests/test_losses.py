@@ -206,6 +206,14 @@ def test_avuc_threshold_validation():
         avuc_loss(conf, unc, np.ones(1), sharpness=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_avuc_rejects_non_finite_sharpness(bad):
+    conf = constant([0.8, 0.3])
+    unc = constant([0.2, 0.6])
+    with pytest.raises(ValueError, match="sharpness"):
+        avuc_loss(conf, unc, np.array([1.0, 0.0]), sharpness=bad)
+
+
 def test_avuc_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     logits = parameter(rng.standard_normal((8, 3)) * 2.0)
@@ -265,6 +273,14 @@ def test_mmce_kernel_width_matters():
     assert narrow != wide
     with pytest.raises(ValueError):
         mmce_loss(conf, correct, kernel_width=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_mmce_rejects_non_finite_kernel_width(bad):
+    conf = constant([0.9, 0.4, 0.6])
+    correct = np.array([True, False, True])
+    with pytest.raises(ValueError, match="kernel_width"):
+        mmce_loss(conf, correct, kernel_width=bad)
 
 
 def test_mmce_gradient_matches_finite_differences():

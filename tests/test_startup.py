@@ -1,9 +1,10 @@
-"""Start-up cost: caliblab loads scipy only for the terms that need it.
+"""Start-up cost and memory: caliblab loads no scipy.
 
 ``scipy.special`` costs more to import than numpy and all of caliblab
-together, and only the evidential loss, the Dirichlet KL and AvUC call it.
-Each test runs a fresh interpreter, because this process has long since
-imported scipy through other tests.
+together. caliblab computes its special functions in numpy
+(``caliblab.special``), so no command and no loss term imports scipy. The
+tests that check this run a fresh interpreter, because this process may
+have imported scipy through other tests.
 """
 
 import json
@@ -12,10 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
-from scipy import special
 
-from caliblab import Predictions, constant, head_output
+from caliblab import Predictions, avuc_loss, constant, evidential_loss, head_output
 from caliblab.reports import prediction_log_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -105,42 +106,72 @@ def test_softmax_training_loads_no_scipy(tmp_path):
     assert (out / "report.json").exists()
 
 
-def test_evidential_and_avuc_terms_load_scipy_and_match_eager_scipy():
+def test_evidential_and_avuc_terms_load_no_scipy():
     body = f"""\
 import numpy as np
-from caliblab import avuc_loss, constant, evidential_loss, head_output
-out = head_output("enn", constant({LOGITS!r}))
+from caliblab import avuc_loss, evidential_loss, gradients, head_output, parameter
+logits = parameter({LOGITS!r})
+out = head_output("enn", logits)
 labels = np.array({LABELS!r})
-before = 'scipy' in sys.modules
-enn = float(evidential_loss(out.dirichlet, labels, {KL_WEIGHT!r}).data)
-avuc = float(
-    avuc_loss(out.confidence, out.uncertainty, out.predictions == labels).data
+loss = evidential_loss(out.dirichlet, labels, {KL_WEIGHT!r}) + avuc_loss(
+    out.confidence, out.uncertainty, out.predictions == labels
 )
-print(json.dumps([before, 'scipy.special' in sys.modules, enn, avuc]))
-"""
-    before, after, enn, avuc = _fresh(body)
-    assert not before and after
+gradients(loss, [logits])
+""" + LOADED
+    assert _fresh(body) == []
 
+
+def test_evidential_and_avuc_terms_match_mpmath():
     out = head_output("enn", constant(LOGITS))
     labels = np.array(LABELS)
-    mask = np.eye(3)[labels]
-    alpha = out.dirichlet.alpha.data
-    s_rows = out.dirichlet.strength.data.reshape((-1,))
-    data_term = (special.psi(s_rows) - special.psi((alpha * mask).sum(axis=1))).mean()
-    a = mask + (1.0 - mask) * alpha
-    total = a.sum(axis=1, keepdims=True)
-    log_norm = special.gammaln(total.reshape((-1,))) - special.gammaln(a).sum(axis=1)
-    kl = (
-        log_norm
-        - float(special.gammaln(3))
-        + ((a - 1.0) * (special.psi(a) - special.psi(total))).sum(axis=1)
-    )
-    assert enn == data_term + KL_WEIGHT * kl.mean()
+    enn = float(evidential_loss(out.dirichlet, labels, KL_WEIGHT).data)
+    correct = out.predictions == labels
+    avuc = float(avuc_loss(out.confidence, out.uncertainty, correct).data)
 
-    acc = (out.predictions == labels).astype(np.float64)
-    certain = special.expit((out.confidence.data - 0.5) * 10.0) * special.expit(
-        (0.5 - out.uncertainty.data) * 10.0
+    with mpmath.workdps(40):
+        alpha = [[mpmath.mpf(a) for a in row] for row in out.dirichlet.alpha.data.tolist()]
+        data_term = kl = 0
+        for row, y in zip(alpha, LABELS):
+            data_term += mpmath.digamma(sum(row)) - mpmath.digamma(row[y])
+            tilde = [mpmath.mpf(1) if c == y else a for c, a in enumerate(row)]
+            total = sum(tilde)
+            psi_total = mpmath.digamma(total)
+            kl += (
+                mpmath.loggamma(total)
+                - sum(mpmath.loggamma(a) for a in tilde)
+                - mpmath.loggamma(len(row))
+                + sum((a - 1) * (mpmath.digamma(a) - psi_total) for a in tilde)
+            )
+        n = len(LABELS)
+        assert abs(enn - float(data_term / n + KL_WEIGHT * kl / n)) <= 1e-13 * abs(enn)
+
+        def expit(x):
+            return 1 / (1 + mpmath.exp(-x))
+
+        counts = [[0, 0], [0, 0]]  # [accurate?][certain?]
+        for r, u, hit in zip(out.confidence.data, out.uncertainty.data, correct):
+            certain = expit((mpmath.mpf(float(r)) - 0.5) * 10) * expit(
+                (0.5 - mpmath.mpf(float(u))) * 10
+            )
+            counts[int(hit)][1] += certain
+            counts[int(hit)][0] += 1 - certain
+        ratio = (counts[1][0] + counts[0][1]) / (counts[1][1] + counts[0][0] + 1e-8)
+        assert abs(avuc - float(mpmath.log(1 + ratio))) <= 1e-13 * abs(avuc)
+
+
+def test_evidential_avuc_training_loads_no_scipy(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text(
+        TRAIN_CONFIG.replace("[model]\n", "[model]\nhead = enn\n").replace(
+            "mmce = 0.5", "evidential_kl = 40\navuc = 0.6"
+        )
     )
-    num = (acc * (1.0 - certain)).sum() + ((1.0 - acc) * certain).sum()
-    den = (acc * certain).sum() + ((1.0 - acc) * (1.0 - certain)).sum() + 1e-8
-    assert avuc == np.log(num / den + 1.0)
+    out = tmp_path / "out"
+    body = (
+        "from caliblab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main(['train', '--config', {str(config)!r}, '--out', {str(out)!r}]) == 0\n"
+        + LOADED
+    )
+    assert _fresh(body) == []
+    assert (out / "report.json").exists()
