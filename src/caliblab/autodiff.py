@@ -9,13 +9,13 @@ are never silently downcast.
 A training step is dominated by per-node bookkeeping, not arithmetic, so
 the chains that every step builds are single nodes with hand-written
 backward rules: ``softmax``, ``bias_relu`` (a dense layer's bias add and
-relu) and ``sq_dist`` here; cross-entropy, the evidential data term, the
-Dirichlet KL, AvUC, the MMCE sum and the three LDU terms in ``losses``; the
-spectral-norm rescaling in ``uncertainty``. Each rule repeats the arithmetic
-of the primitive-op composition it replaces in the same order, including
-the order in which gradients from several uses of one value are added, so
-training gives the same bits as the composition would. Those modules build
-their nodes with ``Tensor._from_op``.
+relu) and ``sq_dist`` here; cross-entropy, the evidential loss (data term
+and KL), the Dirichlet KL, AvUC, the MMCE sum and the three LDU terms in
+``losses``; the spectral-norm rescaling in ``uncertainty``. Each rule
+repeats the arithmetic of the primitive-op composition it replaces in the
+same order, including the order in which gradients from several uses of
+one value are added, so training gives the same bits as the composition
+would. Those modules build their nodes with ``Tensor._from_op``.
 
 The reference primitives ``sigmoid``, ``digamma`` and ``gammaln`` take
 their values from ``caliblab.special``, which computes them in numpy.
