@@ -218,11 +218,11 @@ def avuc_loss(
         raise ValueError("correctness bits must align with confidence")
     inv = 1.0 / sharpness
     n = r.data.shape[0]
-    s_conf, s_unc = expit(
-        np.concatenate(
-            ((r.data - conf_threshold) * inv, (unc_threshold - u.data) * inv)
-        )
-    ).reshape((2, n))
+    logits = np.empty((2, n))
+    np.subtract(r.data, conf_threshold, out=logits[0])
+    np.subtract(unc_threshold, u.data, out=logits[1])
+    logits *= inv
+    s_conf, s_unc = expit(logits)
     certain = s_conf * s_unc
     inacc = 1.0 - acc
     uncertain = 1.0 - certain
