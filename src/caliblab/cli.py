@@ -109,8 +109,10 @@ def cmd_grid(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    logs = [read_prediction_log(p) for p in args.logs]
-    combined = ensemble(logs)
+    if len(args.logs) < 2:
+        raise ValueError("ensemble needs at least two prediction logs")
+    # A generator, so that ensemble holds one parsed log at a time.
+    combined = ensemble(read_prediction_log(p) for p in args.logs)
     report = calibration_report(combined, n_bins=args.bins)
     meta = {"source_logs": [str(p) for p in args.logs]}
     out = _resolve_out(args)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,37 +314,56 @@ def multi_seed(
 # -- ensembling ------------------------------------------------------------------
 
 
-def ensemble(logs: list[Predictions]) -> Predictions:
+def ensemble(logs: Iterable[Predictions]) -> Predictions:
     """Average probability vectors across aligned prediction logs.
 
     Logs must cover the same sample ids in the same order with identical
-    true labels. Averaged rows are renormalized only if their sum drifts
-    from 1 by more than 1e-9; confidence is the winning averaged
-    probability and uncertainty its complement. A tie between classes goes
-    to the lowest class index.
+    true labels. The logs are folded one at a time into a running sum of
+    their probabilities, which is then divided by their count, so an
+    iterator that builds each log on demand holds one log at a time; the
+    result is bit-equal to stacking the logs and taking their mean.
+    Averaged rows are renormalized only if their sum drifts from 1 by more
+    than 1e-9; confidence is the winning averaged probability and
+    uncertainty its complement. A tie between classes goes to the lowest
+    class index.
     """
-    if len(logs) < 2:
+    count = 0
+    for log in logs:
+        count += 1
+        if count == 1:
+            # Copies, so that nothing keeps the first log's storage alive.
+            sample_id = np.array(log.sample_id)
+            true_label = np.array(log.true_label)
+            total = np.array(log.probs)
+        elif not np.array_equal(log.sample_id, sample_id):
+            raise ValueError(
+                f"log {count} is not aligned with log 1 (sample ids differ)"
+            )
+        elif not np.array_equal(log.true_label, true_label):
+            raise ValueError(f"log {count} disagrees with log 1 on true labels")
+        elif log.probs.shape != total.shape:
+            raise ValueError(f"log {count} has a different number of classes")
+        else:
+            total += log.probs
+        del log  # before the iterator builds the next one
+    if count < 2:
         raise ValueError("ensemble needs at least two prediction logs")
-    base = logs[0]
-    for j, log in enumerate(logs[1:], start=2):
-        if not np.array_equal(log.sample_id, base.sample_id):
-            raise ValueError(f"log {j} is not aligned with log 1 (sample ids differ)")
-        if not np.array_equal(log.true_label, base.true_label):
-            raise ValueError(f"log {j} disagrees with log 1 on true labels")
-        if log.probs.shape != base.probs.shape:
-            raise ValueError(f"log {j} has a different number of classes")
 
-    mean_probs = np.stack([log.probs for log in logs]).mean(axis=0)
+    mean_probs = np.divide(total, count, out=total)
     sums = mean_probs.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-9:
-        mean_probs = mean_probs / sums[:, None]
+        mean_probs /= sums[:, None]
     preds = np.argmax(mean_probs, axis=1)
-    conf = mean_probs[np.arange(len(base)), preds]
+    conf = mean_probs[np.arange(len(preds)), preds]
+    unc = 1.0 - conf
+    # Frozen, so that Predictions adopts these private arrays without copies.
+    for column in (sample_id, true_label, preds, conf, unc, mean_probs):
+        column.setflags(write=False)
     return Predictions(
-        sample_id=base.sample_id,
-        true_label=base.true_label,
+        sample_id=sample_id,
+        true_label=true_label,
         pred_label=preds,
         confidence=conf,
-        uncertainty=1.0 - conf,
+        uncertainty=unc,
         probs=mean_probs,
     )

@@ -5,8 +5,10 @@ Predictions
 A ``Predictions`` holds one column per field (ids, labels, confidence,
 uncertainty) plus an (n, C) probability matrix. It is validated once, with
 vectorized checks, when it is built, and its arrays are read-only from then
-on, so no metric validates again. Iterating it yields ``PredictionRecord``
-rows; ``Predictions.from_records`` builds one from such rows.
+on, so no metric validates again: a column that is already read-only down
+to the owner of its memory is adopted, any other is copied. Iterating it
+yields ``PredictionRecord`` rows; ``Predictions.from_records`` builds one
+from such rows.
 
 Binning conventions
 -------------------
@@ -55,12 +57,30 @@ class RecordError(ValueError):
         self.index = index
 
 
+def _frozen(arr: Array) -> bool:
+    """True when `arr` and every array down to the owner of its memory are
+    read-only, so no handle on that memory can write to it."""
+    while isinstance(arr, np.ndarray):
+        if arr.flags.writeable:
+            return False
+        arr = arr.base
+    return arr is None
+
+
 def _column(values, name: str, integer: bool) -> Array:
-    """A read-only copy of one column in its canonical dtype."""
+    """One column in its canonical dtype, read-only.
+
+    An array that already has the dtype and is frozen (``_frozen``) is
+    adopted as it is; anything else is copied, so no caller can write to a
+    validated column.
+    """
     arr = np.asarray(values)
     if integer and arr.size and not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
-    arr = np.array(arr, dtype=np.int64 if integer else np.float64)
+    dtype = np.dtype(np.int64 if integer else np.float64)
+    if arr.dtype == dtype and _frozen(arr):
+        return arr
+    arr = np.array(arr, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
@@ -69,9 +89,11 @@ def _column(values, name: str, integer: bool) -> Array:
 class Predictions:
     """Scored test samples as columns; row i is sample i.
 
-    Integer columns are stored as int64, the others as float64, each as a
-    read-only copy. Construction validates every row (see
-    ``validate_records``) and raises on the first bad one.
+    Integer columns are stored as int64, the others as float64, all
+    read-only. A column that already has its dtype and is read-only down to
+    the owner of its memory is adopted without a copy; any other is copied.
+    Construction validates every row (see ``validate_records``) and raises
+    on the first bad one.
     """
 
     sample_id: Array

@@ -4,13 +4,15 @@ Floats in CSV artifacts are printed with 13 significant digits so logs
 round-trip far inside the 1e-9 tolerances used downstream, and identical
 runs produce byte-identical files.
 
-Prediction-log I/O is bounded in memory. The writer formats a fixed-size
-block of rows at a time: one vectorized pass turns the block's float cells
-into the exact bytes ``%.12e`` gives, and Python formats only each row's
-three integers (and, with ``%``, the rare row of negative or out-of-range
-floats). The reader takes the header with ``readline`` and lets numpy's C
-parser read the body straight from the open file, so it never holds the
-file's text; a failed parse re-reads the file to name the first bad line.
+The prediction-log writer returns the whole log as one string, but it
+formats a fixed-size block of rows at a time: one vectorized pass turns the
+block's float cells into the exact bytes ``%.12e`` gives, and Python formats
+only each row's three integers (and, with ``%``, the rare row of negative
+or out-of-range floats). The reader takes the header with ``readline`` and
+lets numpy's C parser read the body straight from the open file, so it
+never holds the file's text; the parsed table is frozen and becomes the
+columns of the returned ``Predictions``, so it is held once. A failed parse
+re-reads the file to name the first bad line.
 
 All writers go through ``commit_artifacts``, which stages each file under a
 unique temporary name in the target directory, writing it in bounded
@@ -226,7 +228,9 @@ def read_prediction_log(path) -> Predictions:
     """Parse a prediction log; malformed content names the 1-based line.
 
     The body is parsed straight from the open file, so memory holds the
-    table and never the file's text.
+    table and never the file's text. The table is frozen before it is
+    handed on, so the returned columns are read-only views of it, not
+    copies.
     """
     with open(path, "rb") as fh:
         first = fh.readline()
@@ -257,6 +261,7 @@ def read_prediction_log(path) -> Predictions:
         fh.seek(body_start)
         if table.shape[0] != _count_lines(fh):
             raise _malformed(path, len(header), "blank line")
+    table.setflags(write=False)
     try:
         return Predictions(
             sample_id=table["sample_id"],

@@ -287,3 +287,25 @@ def naive_prediction_log(records) -> str:
             cells.append("%.12e" % float(records.probs[i, c]))
         lines.append(",".join(cells))
     return "".join(line + "\r\n" for line in lines)
+
+
+# -- ensemble (one stacked copy of every log) -------------------------------------
+
+
+def stacked_mean_ensemble(logs) -> dict:
+    """The probability-averaging ensemble computed from one stacked array of
+    all logs: the mean over the stack, rows renormalized only when some sum
+    drifts from 1 by more than 1e-9, ties to the lowest class. Returns the
+    four derived columns by name."""
+    mean_probs = np.stack([log.probs for log in logs]).mean(axis=0)
+    sums = mean_probs.sum(axis=1)
+    if np.max(np.abs(sums - 1.0)) > 1e-9:
+        mean_probs = mean_probs / sums[:, None]
+    preds = np.argmax(mean_probs, axis=1)
+    conf = mean_probs[np.arange(mean_probs.shape[0]), preds]
+    return {
+        "pred_label": preds,
+        "confidence": conf,
+        "uncertainty": 1.0 - conf,
+        "probs": mean_probs,
+    }

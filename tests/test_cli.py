@@ -1,12 +1,21 @@
 """CLI tests: every subcommand end to end, error paths, atomicity, env var."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from caliblab import cli
 from caliblab.cli import main
 from caliblab.config import load_config
-from caliblab.reports import read_prediction_log
+from caliblab.metrics import Predictions
+from caliblab.reports import commit_artifacts, prediction_log_text, read_prediction_log
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 QUICK = """\
 [model]
@@ -148,6 +157,65 @@ def test_ensemble_needs_two_logs(tmp_path, config_path, capsys):
     capsys.readouterr()
     assert run_cli("ensemble", out / "predictions.csv") == 1
     assert "two" in capsys.readouterr().err
+
+
+def test_ensemble_of_one_log_fails_before_reading_it(tmp_path, capsys, monkeypatch):
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(cli, "read_prediction_log", no_read)
+    assert run_cli("ensemble", tmp_path / "missing.csv", "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: ensemble needs at least two prediction logs" in err
+
+
+ENSEMBLE_PEAK = """
+import contextlib, io, json, sys, tracemalloc
+from caliblab.cli import main
+tracemalloc.start()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def test_ensemble_holds_one_input_log_at_a_time(tmp_path):
+    # Three 20k-row logs. Holding every log, or a stacked copy of their
+    # probabilities, puts the peak near 8 times one log's arrays; folding
+    # one log at a time into frozen tables keeps it near 5.
+    n, classes = 20_000, 4
+    rng = np.random.default_rng(11)
+    ids, labels = rng.permutation(n), rng.integers(0, classes, n)
+    paths = []
+    for j in range(3):
+        probs = rng.dirichlet(np.ones(classes), size=n)
+        preds = np.argmax(probs, axis=1)
+        conf = probs[np.arange(n), preds]
+        log = Predictions(
+            sample_id=ids,
+            true_label=labels,
+            pred_label=preds,
+            confidence=conf,
+            uncertainty=1.0 - conf,
+            probs=probs,
+        )
+        paths.append(tmp_path / f"log{j}.csv")
+        commit_artifacts([(paths[-1], prediction_log_text(log))])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["ensemble", *map(str, paths), "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, "-c", ENSEMBLE_PEAK, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert code == 0
+    one_log = n * (5 + classes) * 8  # three int64 and 2 + classes float64 columns
+    assert peak <= 6 * one_log, f"peak {peak / one_log:.2f} x one log's arrays"
 
 
 def test_grid_command_writes_trace_and_best_config(tmp_path, capsys):

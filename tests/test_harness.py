@@ -21,7 +21,7 @@ from caliblab.harness import (
 from caliblab.metrics import Predictions, balanced_accuracy
 from caliblab.reports import prediction_log_text
 
-from oracles import top_singular_value
+from oracles import stacked_mean_ensemble, top_singular_value
 
 
 def quick_config(**kw):
@@ -320,6 +320,74 @@ def test_ensemble_rejects_misaligned_logs():
 
     with pytest.raises(ValueError, match="at least two"):
         ensemble([a])
+
+
+def _edge_row(rng, classes):
+    """A random probability row whose sum is as far above 1 as validation
+    allows, so that averaging such rows can drift past the 1e-9 bound."""
+    row = rng.dirichlet(np.ones(classes))
+    row[-1] += 1e-9
+    while abs(row.sum() - 1.0) <= 1e-9:
+        row[-1] = np.nextafter(row[-1], 2.0)
+    while abs(row.sum() - 1.0) > 1e-9:
+        row[-1] = np.nextafter(row[-1], -2.0)
+    return row
+
+
+def _logs_with_edges(rng, k, n, classes):
+    """k aligned logs: random rows, edge rows, and a last row tied between
+    classes 0 and 1 in every log."""
+    ids = rng.permutation(n) + 7
+    labels = rng.integers(0, classes, n)
+    logs = []
+    for _ in range(k):
+        probs = rng.dirichlet(np.ones(classes), size=n)
+        for i in range(0, n - 1, 3):
+            probs[i] = _edge_row(rng, classes)
+        probs[-1] = 0.0
+        probs[-1, :2] = 0.5
+        preds = np.argmax(probs, axis=1)
+        conf = probs[np.arange(n), preds]
+        logs.append(
+            Predictions(
+                sample_id=ids,
+                true_label=labels,
+                pred_label=preds,
+                confidence=conf,
+                uncertainty=1.0 - conf,
+                probs=probs,
+            )
+        )
+    return logs
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_ensemble_fold_is_bit_equal_to_the_stacked_mean(k):
+    rng = np.random.default_rng(100 + k)
+    logs = _logs_with_edges(rng, k, 60, 3)
+    drift = np.abs(np.stack([log.probs for log in logs]).mean(axis=0).sum(axis=1) - 1)
+    assert drift.max() > 1e-9  # the renormalizing branch runs
+    want = stacked_mean_ensemble(logs)
+    assert want["probs"][-1, 0] == want["probs"][-1, 1]  # the tied row
+    for combined in (ensemble(logs), ensemble(iter(logs))):
+        assert np.array_equal(combined.sample_id, logs[0].sample_id)
+        assert np.array_equal(combined.true_label, logs[0].true_label)
+        assert combined.pred_label[-1] == 0
+        for name, column in want.items():
+            got = getattr(combined, name)
+            assert got.dtype == column.dtype and got.shape == column.shape, name
+            assert got.tobytes() == column.tobytes(), name
+
+
+def test_ensemble_of_an_iterator_keeps_todays_errors():
+    a, b = _logs_with_edges(np.random.default_rng(9), 2, 12, 3)
+    with pytest.raises(ValueError, match="ensemble needs at least two prediction logs"):
+        ensemble(iter([]))
+    with pytest.raises(ValueError, match="ensemble needs at least two prediction logs"):
+        ensemble(iter([a]))
+    shifted = dataclasses.replace(b, sample_id=b.sample_id + 1)
+    with pytest.raises(ValueError, match=r"log 2 is not aligned with log 1 \(sample ids"):
+        ensemble(iter([a, shifted]))
 
 
 def test_ensemble_accuracy_is_at_least_plausible():

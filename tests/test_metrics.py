@@ -307,6 +307,50 @@ def test_predictions_rows_and_columns():
         )
 
 
+def _columns(probs):
+    preds = np.argmax(probs, axis=1)
+    conf = probs[np.arange(len(probs)), preds]
+    return dict(
+        sample_id=np.arange(len(probs)),
+        true_label=np.zeros(len(probs), dtype=np.int64),
+        pred_label=preds,
+        confidence=conf,
+        uncertainty=1.0 - conf,
+    )
+
+
+def test_predictions_copies_writable_arrays():
+    probs = np.array([[0.9, 0.1], [0.3, 0.7]])
+    records = Predictions(probs=probs, **_columns(probs))
+    assert not np.shares_memory(records.probs, probs)
+    probs[0] = [0.1, 0.9]
+    assert records.probs[0].tolist() == [0.9, 0.1]
+
+    # A read-only view does not make its writable owner read-only.
+    view = probs.view()
+    view.setflags(write=False)
+    records = Predictions(probs=view, **_columns(probs))
+    assert not np.shares_memory(records.probs, probs)
+
+
+def test_predictions_adopts_frozen_owners():
+    probs = np.array([[0.9, 0.1], [0.3, 0.7]])
+    columns = _columns(probs)
+    for arr in [probs, *columns.values()]:
+        arr.setflags(write=False)
+    records = Predictions(probs=probs, **columns)
+    assert records.probs is probs
+    for name, arr in columns.items():
+        assert getattr(records, name) is arr, name
+    # A frozen owner of another dtype is still converted.
+    as_int32 = columns["sample_id"].astype(np.int32)
+    as_int32.setflags(write=False)
+    columns["sample_id"] = as_int32
+    records = Predictions(probs=probs, **columns)
+    assert records.sample_id.dtype == np.int64
+    assert not records.sample_id.flags.writeable
+
+
 def _log_on_bin_edges(seed, classes, n):
     """Random softmax rows, a quarter of them moved onto a confidence k/10."""
     rng = np.random.default_rng(seed)

@@ -254,6 +254,20 @@ def test_prediction_log_io_memory_is_bounded(tmp_path):
     assert read_peak <= 3 * arrays
 
 
+def test_read_log_columns_are_frozen_views_of_one_table(tmp_path):
+    path = tmp_path / "log.csv"
+    path.write_text(prediction_log_text(random_records(np.random.default_rng(6), 50, 3)))
+    loaded = read_prediction_log(path)
+    table = loaded.probs.base
+    assert isinstance(table, np.ndarray) and table.dtype.names
+    assert not table.flags.writeable
+    for name in ("sample_id", "true_label", "pred_label", "confidence", "uncertainty"):
+        column = getattr(loaded, name)
+        assert not column.flags.writeable, name
+        assert column.base is table, name
+    assert not loaded.probs.flags.writeable
+
+
 def test_report_json_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     records = random_records(rng, 30, 3)
