@@ -151,20 +151,17 @@ def test_multiseed_rejects_single_seed(tmp_path, config_path, capsys):
     assert "at least 2" in capsys.readouterr().err
 
 
-def test_ensemble_needs_two_logs(tmp_path, config_path, capsys):
+def test_ensemble_needs_two_logs(tmp_path, config_path, capsys, monkeypatch):
     out = tmp_path / "out"
     run_cli("train", "--config", config_path, "--out", out)
     capsys.readouterr()
-    assert run_cli("ensemble", out / "predictions.csv") == 1
-    assert "two" in capsys.readouterr().err
 
-
-def test_ensemble_of_one_log_fails_before_reading_it(tmp_path, capsys, monkeypatch):
     def no_read(path):
         raise AssertionError(f"read {path}")
 
+    # The count is checked before any file is parsed.
     monkeypatch.setattr(cli, "read_prediction_log", no_read)
-    assert run_cli("ensemble", tmp_path / "missing.csv", "--out", tmp_path) == 1
+    assert run_cli("ensemble", out / "predictions.csv") == 1
     err = capsys.readouterr().err
     assert "error: ensemble needs at least two prediction logs" in err
 
