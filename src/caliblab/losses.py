@@ -21,6 +21,7 @@ of the forward pass.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,10 +36,23 @@ _BCE_CLAMP = 1e-7
 _COUNT_EPS = 1e-8
 
 
+@functools.cache
+def _identity(classes: int) -> Array:
+    eye = np.eye(classes)
+    eye.setflags(write=False)
+    return eye
+
+
 def one_hot(labels: Array, classes: int) -> Array:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D integer array")
+    if labels.dtype == np.int64:
+        # Read as unsigned, a negative label is at least 2**63, so one
+        # reduction checks both ends of the range.
+        if labels.size and labels.view(np.uint64).max() >= classes:
+            raise ValueError(f"label out of range [0, {classes})")
+        return _identity(classes).take(labels, axis=0)
     if labels.size and (labels.min() < 0 or labels.max() >= classes):
         raise ValueError(f"label out of range [0, {classes})")
     out = np.zeros((labels.shape[0], classes))
@@ -222,7 +236,9 @@ def avuc_loss(
     np.subtract(r.data, conf_threshold, out=logits[0])
     np.subtract(unc_threshold, u.data, out=logits[1])
     logits *= inv
-    s_conf, s_unc = expit(logits)
+    # Confidence and uncertainty lie in [0, 1] and the thresholds inside
+    # it, so no logit exceeds `inv` in size.
+    s_conf, s_unc = expit(logits, bound=inv)
     certain = s_conf * s_unc
     inacc = 1.0 - acc
     uncertain = 1.0 - certain

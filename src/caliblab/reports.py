@@ -4,11 +4,13 @@ Floats in CSV artifacts are printed with 13 significant digits so logs
 round-trip far inside the 1e-9 tolerances used downstream, and identical
 runs produce byte-identical files.
 
-The prediction-log writer returns the whole log as one string, but it
-formats a fixed-size block of rows at a time: one vectorized pass turns the
-block's float cells into the exact bytes ``%.12e`` gives, and Python formats
-only each row's three integers (and, with ``%``, the rare row of negative
-or out-of-range floats). The reader takes the header with ``readline`` and
+The prediction-log writer returns a lazily formatted text: iterating it
+formats a fixed-size block of rows at a time, where one vectorized pass
+turns the block's float cells into the exact bytes ``%.12e`` gives, and
+Python formats only each row's three integers (and, with ``%``, the rare
+row of negative or out-of-range floats). Its length is counted without
+formatting, and ``commit_artifacts`` writes it block by block, so the whole
+text never exists. The reader takes the header with ``readline`` and
 lets numpy's C parser read the body straight from the open file, so it
 never holds the file's text; the parsed table is frozen and becomes the
 columns of the returned ``Predictions``, so it is held once. A failed parse
@@ -16,7 +18,7 @@ re-reads the file to name the first bad line.
 
 All writers go through ``commit_artifacts``, which stages each file under a
 unique temporary name in the target directory, writing it in bounded
-slices, and then renames it into place, so a crash never leaves a
+slices or blocks, and then renames it into place, so a crash never leaves a
 partially written artifact at the target path and concurrent writers never
 share a temporary file.
 """
@@ -28,6 +30,7 @@ import io
 import json
 import os
 import tempfile
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +59,7 @@ def log_header(n_classes: int) -> list[str]:
 # Each float cell is written as ",d.dddddddddddde+XX": 19 bytes whenever the
 # value is non-negative and its decimal exponent has two digits.
 _CELL = 19
-_BLOCK_ROWS = 2048  # bounds the writer's working memory, whatever the log size
+_BLOCK_ROWS = 256  # bounds the writer's working memory, whatever the log size
 _POW10 = np.array([float(10**k) for k in range(23)])  # exact up to 10**22
 _SPLIT = 2.0**27 + 1  # Veltkamp splitting constant for float64
 
@@ -156,32 +159,97 @@ def _float_fields(values: np.ndarray) -> list[bytes]:
     return fields
 
 
-def prediction_log_text(records: Predictions) -> str:
-    """The log as CSV text with CRLF line ends, as ``csv.writer`` writes it.
+class PredictionLogText:
+    """A prediction log as CSV text with CRLF line ends, as ``csv.writer``
+    writes it, formatted only as it is read.
 
-    Rows are formatted a block at a time: the float cells of a block in one
-    vectorized pass (``_float_fields``), then one ``%`` call per row for
-    the three integers.
+    Iterating yields the header line, then the rows one block at a time:
+    the float cells of a block in one vectorized pass (``_float_fields``),
+    then one ``%`` call per row for the three integers. ``"".join(log)`` is
+    the whole text. ``len(log)`` is its length in characters (bytes, since
+    it is ASCII), counted without formatting the rows: digit counts for the
+    integers, 19 characters per float cell, and ``%`` only for the rare row
+    with a cell outside that width.
     """
-    blocks = [",".join(log_header(records.n_classes)) + "\r\n"]
-    for start in range(0, len(records), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        values = np.concatenate(
-            [
-                records.confidence[rows, None],
-                records.uncertainty[rows, None],
-                records.probs[rows],
-            ],
-            axis=1,
-        )
-        block = zip(
-            records.sample_id[rows].tolist(),
-            records.true_label[rows].tolist(),
-            records.pred_label[rows].tolist(),
-            _float_fields(values),
-        )
-        blocks.append(b"".join(map(b"%d,%d,%d%s\r\n".__mod__, block)).decode("ascii"))
-    return "".join(blocks)
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: Predictions):
+        self.records = records
+
+    def _header(self) -> str:
+        return ",".join(log_header(self.records.n_classes)) + "\r\n"
+
+    def __iter__(self) -> Iterator[str]:
+        records = self.records
+        yield self._header()
+        for start in range(0, len(records), _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = zip(
+                records.sample_id[rows].tolist(),
+                records.true_label[rows].tolist(),
+                records.pred_label[rows].tolist(),
+                _float_fields(_float_values(records, rows)),
+            )
+            yield b"".join(map(b"%d,%d,%d%s\r\n".__mod__, block)).decode("ascii")
+
+    def __len__(self) -> int:
+        records = self.records
+        n = len(records)
+        # Two commas between the integers and the CRLF, on every row.
+        size = len(self._header()) + 4 * n
+        for column in (records.sample_id, records.true_label, records.pred_label):
+            size += _digit_count(column)
+        # Non-negative cells in [1e-99, 9e99), and zeros, print in 19
+        # characters; the rows with any other cell are formatted to count.
+        narrow = _narrow(records.probs).all(axis=1)
+        narrow &= _narrow(records.confidence)
+        narrow &= _narrow(records.uncertainty)
+        width = 2 + records.n_classes
+        size += int(np.count_nonzero(narrow)) * width * _CELL
+        slow = ",%.12e" * width
+        for i in np.flatnonzero(~narrow).tolist():
+            cells = _float_values(records, slice(i, i + 1))[0]
+            size += len(slow % tuple(cells.tolist()))
+        return size
+
+
+def _float_values(records: Predictions, rows: slice) -> np.ndarray:
+    """The float cells of `rows`: confidence, uncertainty, then the probs."""
+    return np.concatenate(
+        [
+            records.confidence[rows, None],
+            records.uncertainty[rows, None],
+            records.probs[rows],
+        ],
+        axis=1,
+    )
+
+
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Cells whose ``%.12e`` form surely has no sign and a two-digit exponent."""
+    keep = (values >= 1e-99) & (values < 9e99)
+    keep |= values == 0
+    keep &= ~np.signbit(values)
+    return keep
+
+
+_POW10_INT = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+
+
+def _digit_count(values: np.ndarray) -> int:
+    """Characters in the ``%d`` forms of int64 `values`, signs included."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # exact modulo 2**64
+    digits = np.searchsorted(_POW10_INT, magnitude, side="right")
+    return int(digits.sum()) + values.size + int(np.count_nonzero(negative))
+
+
+def prediction_log_text(records: Predictions) -> PredictionLogText:
+    """The log's text, formatted a block of rows at a time as it is iterated
+    (see ``PredictionLogText``); ``commit_artifacts`` writes it that way."""
+    return PredictionLogText(records)
 
 
 def _log_dtype(n_classes: int) -> np.dtype:
@@ -412,14 +480,26 @@ _ARTIFACT_MODE = 0o666 & ~_umask()
 _WRITE_CHARS = 1 << 16
 
 
-def commit_artifacts(plan: list[tuple[object, str]]) -> None:
+def _pieces(text: str | Iterable[str]) -> Iterable[str]:
+    """A payload as the pieces to write: a ``str`` in bounded slices, which
+    bound the encoded copy that each write makes; anything else as is."""
+    if not isinstance(text, str):
+        return text
+    return (text[i : i + _WRITE_CHARS] for i in range(0, len(text), _WRITE_CHARS))
+
+
+def commit_artifacts(plan: Iterable[tuple[object, str | Iterable[str]]]) -> None:
     """Write several artifacts with all-or-nothing semantics.
 
-    Each entry is (path, text). Every payload is staged to a temporary file
-    with a unique name in the target's directory first; only after all
-    stages succeed are the targets renamed into place. Writers that commit
-    to one directory at the same time never touch each other's temporary
-    files, and each target ends up holding one writer's complete text.
+    Each entry is (path, text), where text is a ``str`` or an iterable of
+    ``str`` pieces, such as a ``PredictionLogText``, that are written in
+    order, so the whole text never has to exist at once. Every payload is
+    staged to a temporary file with a unique name in the target's directory
+    first; only after all stages succeed (an error while a payload is
+    produced included) are the targets renamed into place. Writers that
+    commit to one directory at the same time never touch each other's
+    temporary files, and each target ends up holding one writer's complete
+    text.
     """
     staged: list[tuple[Path, Path]] = []
     try:
@@ -430,9 +510,7 @@ def commit_artifacts(plan: list[tuple[object, str]]) -> None:
             )
             staged.append((Path(tmp), path))
             with open(fd, "w", encoding="utf-8", newline="") as fh:
-                # Slices bound the encoded copy that each write makes.
-                for start in range(0, len(text), _WRITE_CHARS):
-                    fh.write(text[start : start + _WRITE_CHARS])
+                fh.writelines(_pieces(text))
             os.chmod(tmp, _ARTIFACT_MODE)
         for tmp, path in staged:
             os.replace(tmp, path)

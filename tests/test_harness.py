@@ -48,7 +48,7 @@ def test_fit_is_bitwise_deterministic():
     assert params_digest(model_a) == params_digest(model_b)
     rec_a = predict_records(model_a, ds.x_test, ds.y_test)
     rec_b = predict_records(model_b, ds.x_test, ds.y_test)
-    assert prediction_log_text(rec_a) == prediction_log_text(rec_b)
+    assert "".join(prediction_log_text(rec_a)) == "".join(prediction_log_text(rec_b))
 
 
 def test_different_seeds_give_different_models():

@@ -1,5 +1,7 @@
 """Loss-function tests: analytic values, oracle agreement, gradients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,29 @@ def test_one_hot_rejects_out_of_range_labels():
         one_hot(np.array([0, 3]), 3)
     with pytest.raises(ValueError, match="out of range"):
         one_hot(np.array([-1]), 3)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.intp])
+def test_one_hot_matches_indexed_assignment(dtype):
+    labels = np.array([2, 0, 1, 2, 2, 0], dtype=dtype)
+    expected = np.zeros((6, 3))
+    expected[np.arange(6), labels] = 1.0
+    out = one_hot(labels, 3)
+    assert out.dtype == np.float64 and out.flags.c_contiguous and out.flags.writeable
+    assert out.tobytes() == expected.tobytes()
+    assert one_hot(np.array([], dtype=dtype), 3).shape == (0, 3)
+
+
+def test_one_hot_keeps_its_errors():
+    for bad in ([-(2**63)], [2**63 - 1], [0, -2], [3]):
+        with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
+            one_hot(np.array(bad, dtype=np.int64), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        one_hot(np.array([-1], dtype=np.int32), 3)
+    with pytest.raises(ValueError, match="1-D"):
+        one_hot(np.zeros((2, 2), dtype=np.int64), 3)
+    with pytest.raises(IndexError):
+        one_hot(np.array([0.0, 1.0]), 3)
 
 
 def test_cross_entropy_gradient_matches_finite_differences():
@@ -178,6 +203,21 @@ def test_avuc_sharpness_sequence_converges_to_hard_loss():
         errs.append(abs(soft - hard))
     assert errs[-1] < 1e-6
     assert errs[0] > errs[-1]
+
+
+def test_avuc_sharp_overflow_gives_exact_zeros_without_warnings():
+    # At sharpness 1e-3 the logits reach -900 and -1000, where exp overflows.
+    conf = parameter(np.array([0.0, 1.0, 0.95]))
+    unc = parameter(np.array([1.0, 0.0, 0.05]))
+    correct = np.array([0.0, 1.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loss = avuc_loss(conf, unc, correct, conf_threshold=0.9, sharpness=1e-3)
+        grads = gradients(loss, [conf, unc])
+    # The first sample is exactly uncertain and inaccurate, the others
+    # certain and accurate to within exp(-50), so the loss is ~0.
+    assert loss.data == pytest.approx(0.0, abs=1e-20)
+    assert all(np.isfinite(g).all() for g in grads)
 
 
 def test_avuc_zero_when_all_accurate_and_certain():

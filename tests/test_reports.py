@@ -51,8 +51,8 @@ def test_prediction_log_round_trip_is_metric_exact(tmp_path):
 def test_prediction_log_text_is_deterministic():
     rng = np.random.default_rng(1)
     records = random_records(rng, 10, 2)
-    assert prediction_log_text(records) == prediction_log_text(records)
-    header = prediction_log_text(records).splitlines()[0]
+    assert "".join(prediction_log_text(records)) == "".join(prediction_log_text(records))
+    header = "".join(prediction_log_text(records)).splitlines()[0]
     assert header == "sample_id,true_label,pred_label,confidence,uncertainty,p_0,p_1"
 
 
@@ -63,7 +63,7 @@ def test_prediction_log_read_errors_name_lines(tmp_path):
     with pytest.raises(ValueError, match="header"):
         read_prediction_log(path)
 
-    good = prediction_log_text(binary_records([0.8], [True]))
+    good = "".join(prediction_log_text(binary_records([0.8], [True])))
     path.write_text(good + "1,0,0,0.5\n")
     with pytest.raises(ValueError, match="line 3"):
         read_prediction_log(path)
@@ -118,7 +118,7 @@ def test_prediction_log_text_matches_golden_bytes():
         uncertainty=1.0 - conf,
         probs=probs,
     )
-    assert prediction_log_text(records) == GOLDEN_LOG
+    assert "".join(prediction_log_text(records)) == GOLDEN_LOG
 
 
 @pytest.mark.parametrize(
@@ -207,7 +207,7 @@ def test_prediction_log_text_matches_per_cell_formatting(n_classes, rows):
         uncertainty=[u for _, u, _, _ in rows],
         probs=probs,
     )
-    assert prediction_log_text(records) == naive_prediction_log(records)
+    assert "".join(prediction_log_text(records)) == naive_prediction_log(records)
 
 
 def _float_columns(probs):
@@ -225,8 +225,8 @@ def test_prediction_log_fast_path_covers_dirichlet_and_one_hot_rows():
 
 
 def test_prediction_log_text_matches_per_cell_formatting_across_blocks():
-    records = random_records(np.random.default_rng(5), 5000, 5)  # three blocks
-    assert prediction_log_text(records) == naive_prediction_log(records)
+    records = random_records(np.random.default_rng(5), 5000, 5)  # many blocks
+    assert "".join(prediction_log_text(records)) == naive_prediction_log(records)
 
 
 def _peak_above_current(call):
@@ -254,9 +254,73 @@ def test_prediction_log_io_memory_is_bounded(tmp_path):
     assert read_peak <= 3 * arrays
 
 
+def _unchecked(**columns) -> Predictions:
+    """Predictions that skip validation, to reach cells no valid log has."""
+    records = object.__new__(Predictions)
+    for name, column in columns.items():
+        object.__setattr__(records, name, np.asarray(column))
+    return records
+
+
+_ODD_IDS = [-(2**63), 2**63 - 1, -1, 0, 10**15, 7]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (0.0, 1.0),  # zeros
+        (-1e-10, 1.0 + 1e-10),  # a negative cell
+        (-0.0, 1.0),  # a negative zero
+        (1e-300, 1.0 - 1e-300),  # a three-digit negative exponent
+        (9.99999999999995e-100, 1.0),  # rounds up to a two-digit exponent
+        (0.25, 0.75),
+    ],
+)
+def test_prediction_log_length_is_the_file_size(tmp_path, first, second):
+    n = len(_ODD_IDS)
+    probs = np.tile([first, second], (n, 1))
+    records = Predictions(
+        sample_id=_ODD_IDS,
+        true_label=np.arange(n) % 2,
+        pred_label=np.ones(n, dtype=np.int64),
+        confidence=probs[:, 1],
+        uncertainty=probs[:, 0],
+        probs=probs,
+    )
+    path = tmp_path / "log.csv"
+    commit_artifacts([(path, prediction_log_text(records))])
+    text = prediction_log_text(records)
+    assert len(text) == path.stat().st_size == len("".join(text))
+
+
+def test_prediction_log_length_counts_cells_no_valid_log_has(tmp_path):
+    # Each row has one odd value, in its confidence and first probability.
+    values = np.array(
+        [1e200, -1e200, 9.99999999999999e99, 1e100, 1e-100, -3.5, 5e-324, 0.5]
+    )
+    n = values.size
+    records = _unchecked(
+        sample_id=np.arange(n, dtype=np.int64) - 4,
+        true_label=np.zeros(n, dtype=np.int64),
+        pred_label=np.full(n, 12345, dtype=np.int64),
+        confidence=values,
+        uncertainty=np.full(n, 0.5),
+        probs=np.column_stack([values, np.ones(n)]),
+    )
+    path = tmp_path / "log.csv"
+    commit_artifacts([(path, prediction_log_text(records))])
+    assert path.read_bytes().decode("ascii") == naive_prediction_log(records)
+    assert len(prediction_log_text(records)) == path.stat().st_size
+
+
+def test_prediction_log_length_matches_random_logs():
+    records = random_records(np.random.default_rng(8), 1000, 3)
+    assert len(prediction_log_text(records)) == len(naive_prediction_log(records))
+
+
 def test_read_log_columns_are_frozen_views_of_one_table(tmp_path):
     path = tmp_path / "log.csv"
-    path.write_text(prediction_log_text(random_records(np.random.default_rng(6), 50, 3)))
+    path.write_text("".join(prediction_log_text(random_records(np.random.default_rng(6), 50, 3))))
     loaded = read_prediction_log(path)
     table = loaded.probs.base
     assert isinstance(table, np.ndarray) and table.dtype.names
@@ -343,6 +407,28 @@ def test_commit_artifacts_is_all_or_nothing(tmp_path):
     with pytest.raises(OSError):
         commit_artifacts([(ok, "data"), (bad, "data")])
     assert list(target.iterdir()) == []  # nothing staged or committed survives
+
+
+def test_streamed_entry_that_fails_partway_commits_nothing(tmp_path):
+    names = ["a.csv", "b.csv", "c.json"]
+    for name in names:
+        (tmp_path / name).write_text(f"old {name}")
+
+    def failing():
+        yield "new b, first piece\n"
+        yield "new b, second piece\n"
+        raise RuntimeError("formatting failed")
+
+    plan = [
+        (tmp_path / "a.csv", prediction_log_text(random_records(np.random.default_rng(9), 600, 3))),
+        (tmp_path / "b.csv", failing()),
+        (tmp_path / "c.json", "new c"),
+    ]
+    with pytest.raises(RuntimeError, match="formatting failed"):
+        commit_artifacts(plan)
+    assert sorted(p.name for p in tmp_path.iterdir()) == names  # no *.tmp left
+    for name in names:
+        assert (tmp_path / name).read_text() == f"old {name}"
 
 
 def test_committed_files_get_the_mode_open_gives(tmp_path):

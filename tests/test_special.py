@@ -73,3 +73,11 @@ def test_expit_saturates_without_warnings():
         assert expit(1000.0) == 1.0
         assert expit(-1000.0) == 0.0
     assert expit(0.0) == 0.5
+
+
+def test_expit_with_a_bound_gives_the_same_bits():
+    x = np.concatenate([np.linspace(-709.0, 709.0, 2001), [-1e-300, 0.0, 5e-324]])
+    assert expit(x, bound=709.0).tobytes() == expit(x).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expit(np.array([-1000.0, 1000.0]), bound=1000.0).tolist() == [0.0, 1.0]

@@ -72,14 +72,16 @@ def test_evaluate_loads_no_scipy(tmp_path):
     probs = np.stack([first, 1.0 - first], axis=1)
     log = tmp_path / "predictions.csv"
     log.write_text(
-        prediction_log_text(
-            Predictions(
-                sample_id=np.arange(12),
-                true_label=np.arange(12) % 2,
-                pred_label=probs.argmax(axis=1),
-                confidence=probs.max(axis=1),
-                uncertainty=1.0 - probs.max(axis=1),
-                probs=probs,
+        "".join(
+            prediction_log_text(
+                Predictions(
+                    sample_id=np.arange(12),
+                    true_label=np.arange(12) % 2,
+                    pred_label=probs.argmax(axis=1),
+                    confidence=probs.max(axis=1),
+                    uncertainty=1.0 - probs.max(axis=1),
+                    probs=probs,
+                )
             )
         ),
         newline="",
