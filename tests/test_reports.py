@@ -419,8 +419,9 @@ def test_streamed_entry_that_fails_partway_commits_nothing(tmp_path):
         yield "new b, second piece\n"
         raise RuntimeError("formatting failed")
 
+    log = prediction_log_text(random_records(np.random.default_rng(9), 600, 3))
     plan = [
-        (tmp_path / "a.csv", prediction_log_text(random_records(np.random.default_rng(9), 600, 3))),
+        (tmp_path / "a.csv", log),
         (tmp_path / "b.csv", failing()),
         (tmp_path / "c.json", "new c"),
     ]
