@@ -21,7 +21,6 @@ of the forward pass.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -36,28 +35,24 @@ _BCE_CLAMP = 1e-7
 _COUNT_EPS = 1e-8
 
 
-@functools.cache
-def _identity(classes: int) -> Array:
-    eye = np.eye(classes)
-    eye.setflags(write=False)
-    return eye
-
-
 def one_hot(labels: Array, classes: int) -> Array:
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError("labels must be a 1-D integer array")
+    if labels.size and _out_of_range(labels, classes):
+        raise ValueError(f"label out of range [0, {classes})")
+    n = labels.shape[0]
+    out = np.zeros((n, classes))
+    out[np.arange(n), labels] = 1.0
+    return out
+
+
+def _out_of_range(labels: Array, classes: int) -> bool:
     if labels.dtype == np.int64:
         # Read as unsigned, a negative label is at least 2**63, so one
         # reduction checks both ends of the range.
-        if labels.size and labels.view(np.uint64).max() >= classes:
-            raise ValueError(f"label out of range [0, {classes})")
-        return _identity(classes).take(labels, axis=0)
-    if labels.size and (labels.min() < 0 or labels.max() >= classes):
-        raise ValueError(f"label out of range [0, {classes})")
-    out = np.zeros((labels.shape[0], classes))
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
+        return labels.view(np.uint64).max() >= classes
+    return labels.min() < 0 or labels.max() >= classes
 
 
 def _check_simplex(probs: Array) -> None:
@@ -216,6 +211,10 @@ def avuc_loss(
     log(1 + (n_au + n_ic) / (n_ac + n_iu + eps)): zero when mass sits only
     in the two aligned cells. As sharpness -> 0 the counts become the hard
     threshold counts.
+
+    Confidence and uncertainty must lie in [0, 1]; the loss does not check
+    this. Outside it, a sharpness below 1/709 can overflow ``exp`` with a
+    RuntimeWarning, though the loss's bits are the same.
     """
     if not (0.0 < conf_threshold < 1.0 and 0.0 < unc_threshold < 1.0):
         raise ValueError("avuc thresholds must lie strictly inside (0, 1)")

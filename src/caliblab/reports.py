@@ -8,9 +8,8 @@ The prediction-log writer returns a lazily formatted text: iterating it
 formats a fixed-size block of rows at a time, where one vectorized pass
 turns the block's float cells into the exact bytes ``%.12e`` gives, and
 Python formats only each row's three integers (and, with ``%``, the rare
-row of negative or out-of-range floats). Its length is counted without
-formatting, and ``commit_artifacts`` writes it block by block, so the whole
-text never exists. The reader takes the header with ``readline`` and
+row of negative or out-of-range floats). ``commit_artifacts`` writes it
+block by block, so the whole text never exists. The reader takes the header with ``readline`` and
 lets numpy's C parser read the body straight from the open file, so it
 never holds the file's text; the parsed table is frozen and becomes the
 columns of the returned ``Predictions``, so it is held once. A failed parse
@@ -167,9 +166,7 @@ class PredictionLogText:
     the float cells of a block in one vectorized pass (``_float_fields``),
     then one ``%`` call per row for the three integers. ``"".join(log)`` is
     the whole text. ``len(log)`` is its length in characters (bytes, since
-    it is ASCII), counted without formatting the rows: digit counts for the
-    integers, 19 characters per float cell, and ``%`` only for the rare row
-    with a cell outside that width.
+    it is ASCII), counted by formatting it once more, a block at a time.
     """
 
     __slots__ = ("records",)
@@ -194,24 +191,7 @@ class PredictionLogText:
             yield b"".join(map(b"%d,%d,%d%s\r\n".__mod__, block)).decode("ascii")
 
     def __len__(self) -> int:
-        records = self.records
-        n = len(records)
-        # Two commas between the integers and the CRLF, on every row.
-        size = len(self._header()) + 4 * n
-        for column in (records.sample_id, records.true_label, records.pred_label):
-            size += _digit_count(column)
-        # Non-negative cells in [1e-99, 9e99), and zeros, print in 19
-        # characters; the rows with any other cell are formatted to count.
-        narrow = _narrow(records.probs).all(axis=1)
-        narrow &= _narrow(records.confidence)
-        narrow &= _narrow(records.uncertainty)
-        width = 2 + records.n_classes
-        size += int(np.count_nonzero(narrow)) * width * _CELL
-        slow = ",%.12e" * width
-        for i in np.flatnonzero(~narrow).tolist():
-            cells = _float_values(records, slice(i, i + 1))[0]
-            size += len(slow % tuple(cells.tolist()))
-        return size
+        return sum(map(len, self))
 
 
 def _float_values(records: Predictions, rows: slice) -> np.ndarray:
@@ -224,26 +204,6 @@ def _float_values(records: Predictions, rows: slice) -> np.ndarray:
         ],
         axis=1,
     )
-
-
-def _narrow(values: np.ndarray) -> np.ndarray:
-    """Cells whose ``%.12e`` form surely has no sign and a two-digit exponent."""
-    keep = (values >= 1e-99) & (values < 9e99)
-    keep |= values == 0
-    keep &= ~np.signbit(values)
-    return keep
-
-
-_POW10_INT = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
-
-
-def _digit_count(values: np.ndarray) -> int:
-    """Characters in the ``%d`` forms of int64 `values`, signs included."""
-    negative = values < 0
-    magnitude = values.astype(np.uint64)
-    np.negative(magnitude, out=magnitude, where=negative)  # exact modulo 2**64
-    digits = np.searchsorted(_POW10_INT, magnitude, side="right")
-    return int(digits.sum()) + values.size + int(np.count_nonzero(negative))
 
 
 def prediction_log_text(records: Predictions) -> PredictionLogText:
@@ -488,7 +448,7 @@ def _pieces(text: str | Iterable[str]) -> Iterable[str]:
     return (text[i : i + _WRITE_CHARS] for i in range(0, len(text), _WRITE_CHARS))
 
 
-def commit_artifacts(plan: Iterable[tuple[object, str | Iterable[str]]]) -> None:
+def commit_artifacts(plan: list[tuple[object, str | Iterable[str]]]) -> None:
     """Write several artifacts with all-or-nothing semantics.
 
     Each entry is (path, text), where text is a ``str`` or an iterable of

@@ -1,5 +1,6 @@
 """Loss-function tests: analytic values, oracle agreement, gradients."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -89,6 +90,21 @@ def test_one_hot_keeps_its_errors():
         one_hot(np.zeros((2, 2), dtype=np.int64), 3)
     with pytest.raises(IndexError):
         one_hot(np.array([0.0, 1.0]), 3)
+
+
+def test_one_hot_memory_grows_with_labels_times_classes():
+    # A class count taken from data can be large; the output is all the
+    # memory one_hot needs, never a classes x classes table.
+    classes = 5000
+    labels = np.array([0, classes - 1, 7])
+    tracemalloc.start()
+    try:
+        out = one_hot(labels, classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (3, classes) and out.sum() == 3.0
+    assert peak < 4 * out.nbytes
 
 
 def test_cross_entropy_gradient_matches_finite_differences():

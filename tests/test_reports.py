@@ -313,11 +313,6 @@ def test_prediction_log_length_counts_cells_no_valid_log_has(tmp_path):
     assert len(prediction_log_text(records)) == path.stat().st_size
 
 
-def test_prediction_log_length_matches_random_logs():
-    records = random_records(np.random.default_rng(8), 1000, 3)
-    assert len(prediction_log_text(records)) == len(naive_prediction_log(records))
-
-
 def test_read_log_columns_are_frozen_views_of_one_table(tmp_path):
     path = tmp_path / "log.csv"
     path.write_text("".join(prediction_log_text(random_records(np.random.default_rng(6), 50, 3))))
